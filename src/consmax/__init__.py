@@ -27,10 +27,8 @@ from .isometric import IsometryConfig, isometry_agreement, shape_registration
 from .mesh import (
     GeodesicTable,
     TriMesh,
-    delaunay_triangulate_2d,
     geodesic_distances,
     load_mesh,
-    mesh_diameter,
     save_mesh,
 )
 from .pose import (
@@ -81,10 +79,8 @@ __all__ = [
     "shape_registration",
     "GeodesicTable",
     "TriMesh",
-    "delaunay_triangulate_2d",
     "geodesic_distances",
     "load_mesh",
-    "mesh_diameter",
     "save_mesh",
     "CameraIntrinsics",
     "Pose",

@@ -39,16 +39,29 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _write_traces(results, path) -> None:
+def _write_traces(reports, path) -> None:
+    """Write each solved cluster's trace; with more than one cluster the
+    files are numbered by cluster id: ``<root>.c<id><ext>``."""
     if path is None:
         return
-    traces = [r.trace for r in results if r is not None and r.trace]
-    if len(traces) == 1:
-        save_trace(traces[0], path)
-        return
     root, ext = os.path.splitext(path)
-    for ci, trace in enumerate(traces):
-        save_trace(trace, f"{root}.c{ci}{ext or '.csv'}")
+    for c, rep in enumerate(reports):
+        if rep.result is not None and rep.result.trace:
+            save_trace(rep.result.trace, path if len(reports) == 1 else f"{root}.c{c}{ext or '.csv'}")
+
+
+def _solver_summary(mode, labels, registration) -> dict:
+    """Report keys every command shares: totals over the solved clusters.
+    Without any solver result (local filtering) the objective is the number
+    of outlier labels."""
+    results = [r.result for r in registration.cluster_reports if r.result is not None]
+    return {
+        "mode": mode,
+        "objective": int(sum(r.objective for r in results)) if results else labels.num_outliers,
+        "lower_bound": float(sum(r.lower_bound for r in results)),
+        "optimal": all(r.optimal for r in results),
+        "wall_time": float(sum(r.wall_time for r in results)),
+    }
 
 
 def _emit(args, labels, unconstrained, solver_summary, config_echo, gt):
@@ -74,17 +87,11 @@ def cmd_match_shapes(args) -> int:
         mode=args.mode,
         seed=args.seed,
     )
-    detail = shape_registration_detailed(source, target, matches, config)
-    results = detail.cluster_results
-    solver_summary = {
-        "mode": args.mode,
-        "objective": int(sum(r.objective for r in results)),
-        "lower_bound": float(sum(r.lower_bound for r in results)),
-        "optimal": all(r.optimal for r in results),
-        "wall_time": float(sum(r.wall_time for r in results)),
-        "clusters": len(results),
-        "violated_constraints": int(sum(r.violated_constraints for r in results)),
-    }
+    labels, registration = shape_registration_detailed(source, target, matches, config)
+    reports = registration.cluster_reports
+    solver_summary = _solver_summary(args.mode, labels, registration)
+    solver_summary["clusters"] = len(reports)
+    solver_summary["violated_constraints"] = int(sum(r.result.violated_constraints for r in reports))
     config_echo = {
         "command": "match-shapes",
         "eps_rel": config.eps_rel,
@@ -93,8 +100,8 @@ def cmd_match_shapes(args) -> int:
         "mode": config.mode,
         "seed": config.seed,
     }
-    _write_traces(results, args.trace_out)
-    _emit(args, detail.labels, ~detail.constrained, solver_summary, config_echo, matches.gt_labels)
+    _write_traces(reports, args.trace_out)
+    _emit(args, labels, registration.unconstrained, solver_summary, config_echo, matches.gt_labels)
     if args.mode == "exact" and not solver_summary["optimal"]:
         return EXIT_BUDGET
     return EXIT_OK
@@ -110,23 +117,17 @@ def cmd_match_template(args) -> int:
         eps2=args.eps2,
         q=args.q,
         edges_per_point_cap=args.edge_cap,
-        clusters=args.clusters or 1,
+        clusters=args.clusters,
         tau=args.tau,
         solver=_solver_config(args),
         mode=args.mode,
         seed=args.seed,
     )
-    labels, diag = template_image_registration(template, image_points, matches, K, config)
-    results = [r.result for r in diag.cluster_reports if r.result is not None]
-    solver_summary = {
-        "mode": args.mode,
-        "objective": int(sum(r.objective for r in results)) if results else int(labels.num_outliers),
-        "lower_bound": float(sum(r.lower_bound for r in results)) if results else 0.0,
-        "optimal": all(r.optimal for r in results) if results else True,
-        "wall_time": float(sum(r.wall_time for r in results)) if results else 0.0,
-        "clusters": len(diag.cluster_reports),
-        "skipped_clusters": sum(1 for r in diag.cluster_reports if r.skipped),
-    }
+    labels, registration = template_image_registration(template, image_points, matches, K, config)
+    reports = registration.cluster_reports
+    solver_summary = _solver_summary(args.mode, labels, registration)
+    solver_summary["clusters"] = len(reports)
+    solver_summary["skipped_clusters"] = sum(1 for r in reports if r.skipped)
     config_echo = {
         "command": "match-template",
         "eps1_deg": args.eps1_deg,
@@ -138,8 +139,8 @@ def cmd_match_template(args) -> int:
         "mode": config.mode,
         "seed": config.seed,
     }
-    _write_traces(results, args.trace_out)
-    _emit(args, labels, diag.unconstrained, solver_summary, config_echo, matches.gt_labels)
+    _write_traces(reports, args.trace_out)
+    _emit(args, labels, registration.unconstrained, solver_summary, config_echo, matches.gt_labels)
     if args.mode == "exact" and not solver_summary["optimal"]:
         return EXIT_BUDGET
     return EXIT_OK
@@ -176,8 +177,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .isometric import shape_registration_detailed
-
     os.makedirs(args.out_dir, exist_ok=True)
     ratios = [float(r) for r in args.ratios.split(",")]
     modes = args.modes.split(",")
@@ -192,8 +191,9 @@ def cmd_bench(args) -> int:
                 config = IsometryConfig(
                     mode=mode, seed=seed, solver=_solver_config(args)
                 )
-                detail = shape_registration_detailed(source, target, matches, config)
-                ev = cio.evaluate_labels(detail.labels, matches.gt_labels)
+                labels, registration = shape_registration_detailed(source, target, matches, config)
+                solver_summary = _solver_summary(mode, labels, registration)
+                ev = cio.evaluate_labels(labels, matches.gt_labels)
                 row = {
                     "ratio": ratio,
                     "seed": seed,
@@ -202,19 +202,13 @@ def cmd_bench(args) -> int:
                     "recall": ev.recall,
                     "outliers_removed": ev.outliers_removed,
                     "outliers_missed": ev.outliers_missed,
-                    "optimal": all(r.optimal for r in detail.cluster_results),
+                    "optimal": solver_summary["optimal"],
                 }
                 summary.append(row)
                 report = cio.build_report(
-                    detail.labels,
-                    ~detail.constrained,
-                    {
-                        "mode": mode,
-                        "objective": int(sum(r.objective for r in detail.cluster_results)),
-                        "lower_bound": float(sum(r.lower_bound for r in detail.cluster_results)),
-                        "optimal": row["optimal"],
-                        "wall_time": None,
-                    },
+                    labels,
+                    registration.unconstrained,
+                    solver_summary,
                     {"command": "bench", "ratio": ratio, "seed": seed, "mode": mode, "n": args.n},
                     ev,
                     include_timing=args.timing,

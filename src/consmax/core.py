@@ -3,7 +3,8 @@
 Correspondence sets, agreement graphs over minimal index subsets, and the
 compilation of disagreeing edges into a 0-1 covering program: one constraint
 per edge whose agreement value is 0, requiring at least one member of the
-union of the edge's two vertex subsets to be an outlier.
+union of the edge's two vertex subsets to be an outlier. Both pipelines
+label their match clusters through ``register_clusters``.
 
 All types are immutable after construction; the operations are pure
 functions and safe to call concurrently.
@@ -11,14 +12,20 @@ functions and safe to call concurrently.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CoverageGap, InvalidArgument
+from .errors import AllClustersSkipped, CoverageGap, InvalidArgument
+
+if TYPE_CHECKING:
+    from .solver import SolverResult
+
+logger = logging.getLogger(__name__)
 
 INLIER = 0
 OUTLIER = 1
@@ -205,16 +212,20 @@ class CoveringProgram:
     @cached_property
     def var_csr(self):
         """(indptr, cons_ids): variable -> constraint incidence."""
-        indptr_c, indices_c = self.cons_csr
-        counts = np.bincount(indices_c, minlength=self.num_vars)
-        indptr = np.zeros(self.num_vars + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(indices_c, kind="stable")
-        cons_of_elem = np.repeat(
-            np.arange(self.num_constraints, dtype=np.int64),
-            np.diff(indptr_c),
-        )
-        return indptr, cons_of_elem[order]
+        return var_incidence(self.num_vars, *self.cons_csr)
+
+
+def var_incidence(num_vars, cons_indptr, cons_indices):
+    """Transpose a constraint -> variable CSR into (indptr, cons_ids), the
+    variable -> constraint incidence; constraint ids ascend per variable."""
+    counts = np.bincount(cons_indices, minlength=num_vars)
+    indptr = np.zeros(num_vars + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    order = np.argsort(cons_indices, kind="stable")
+    cons_of_elem = np.repeat(
+        np.arange(len(cons_indptr) - 1, dtype=np.int64), np.diff(cons_indptr)
+    )
+    return indptr, cons_of_elem[order]
 
 
 @dataclass(frozen=True)
@@ -352,3 +363,64 @@ def aggregate_labels(
         missing = np.nonzero(z == -1)[0]
         raise CoverageGap(f"matches without a label: {missing[:8].tolist()}...")
     return LabelVector(z)
+
+
+@dataclass(frozen=True)
+class ClusterReport:
+    """Outcome of one cluster: its match indices, whether it was skipped for
+    having too few matches, and its solver result (``None`` when skipped or
+    labelled without a solver)."""
+
+    indices: np.ndarray
+    skipped: bool
+    result: Optional[SolverResult]
+
+
+@dataclass(frozen=True)
+class Registration:
+    """Per-cluster outcomes of a pipeline run, and which matches appear in
+    at least one covering constraint."""
+
+    cluster_reports: list
+    constrained: np.ndarray
+
+    @property
+    def unconstrained(self) -> np.ndarray:
+        return ~self.constrained
+
+
+def register_clusters(
+    partition: ClusterPartition,
+    label_cluster: Callable,
+    min_size: int = 1,
+) -> tuple[LabelVector, Registration]:
+    """Label every cluster of ``partition`` and aggregate the labels.
+
+    ``label_cluster(c, idx)`` builds cluster ``c``'s graph and covering
+    program over the cluster-local match ids ``0..len(idx)-1`` and returns
+    ``(program, labels, result)``. Labels shorter than the cluster leave the
+    remaining matches inlier. A cluster with fewer than ``min_size`` matches
+    is skipped: its matches stay inlier and unconstrained. Raises when every
+    cluster is skipped.
+    """
+    p = len(partition.assignments)
+    per_cluster = []
+    reports = []
+    constrained = np.zeros(p, dtype=bool)
+    for c in range(partition.m):
+        idx = partition.members(c)
+        z = np.zeros(len(idx), dtype=np.int8)
+        if len(idx) < min_size:
+            logger.warning(
+                "cluster %d: only %d matches, skipped (labels stay inlier/unconstrained)", c, len(idx)
+            )
+            reports.append(ClusterReport(idx, True, None))
+        else:
+            program, labels, result = label_cluster(c, idx)
+            constrained[idx[program.cons_csr[1]]] = True
+            z[: len(labels)] = labels.z
+            reports.append(ClusterReport(idx, False, result))
+        per_cluster.append((idx, LabelVector(z)))
+    if all(r.skipped for r in reports):
+        raise AllClustersSkipped("no cluster had enough matches to build a graph")
+    return aggregate_labels(per_cluster, p), Registration(reports, constrained)

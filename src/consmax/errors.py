@@ -25,10 +25,6 @@ class LpNotConverged(ConsmaxError):
     """The LP sub-solver hit its iteration cap before reaching tolerance."""
 
 
-class DegenerateInput(ConsmaxError, ValueError):
-    """Geometric input is degenerate (collinear points, too few points)."""
-
-
 class DegenerateConfiguration(ConsmaxError, ValueError):
     """Pose problem is degenerate (collinear 3D points or coincident bearings)."""
 
@@ -43,10 +39,6 @@ class InvalidRotation(ConsmaxError, ValueError):
 
 class EmptySolutions(ConsmaxError, ValueError):
     """Pose agreement needs a non-empty solution set on both sides."""
-
-
-class DisconnectedMesh(ConsmaxError):
-    """Operation requires a connected mesh."""
 
 
 class GeodesicFailure(ConsmaxError):

@@ -22,10 +22,9 @@ import numpy as np
 
 from .core import INLIER, OUTLIER, LabelVector, MatchSet
 from .errors import LengthMismatch, MalformedInput
-from .mesh import load_mesh, save_mesh
+from .mesh import save_mesh
 from .pose import CameraIntrinsics
 
-parse_mesh = load_mesh
 emit_mesh = save_mesh
 
 

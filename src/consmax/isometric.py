@@ -17,13 +17,14 @@ from .core import (
     ConsensusGraph,
     LabelVector,
     MatchSet,
-    aggregate_labels,
+    Registration,
     build_covering_program,
     kmeans_partition,
+    register_clusters,
 )
 from .errors import EmptyMatches, GeodesicFailure, InvalidArgument
 from .mesh import TriMesh, geodesic_distances
-from .solver import SolverConfig, SolverResult, solve_exact, solve_relaxed
+from .solver import SolverConfig, solve_exact, solve_relaxed
 
 ShapeLike = Union[TriMesh, np.ndarray]
 
@@ -69,22 +70,6 @@ def isometry_agreement(g_source: float, g_target: float, eps_rel: float, eps_abs
     return int(abs(g_source - g_target) <= max(eps_rel * g_source, eps_abs))
 
 
-@dataclass
-class ClusterReport:
-    indices: np.ndarray
-    result: Optional[SolverResult]
-    num_edges: int
-    num_constraints: int
-
-
-@dataclass
-class ShapeRegistrationDetail:
-    labels: LabelVector
-    cluster_results: list
-    constrained: np.ndarray  # per match: appears in at least one constraint
-    eps_abs: float
-
-
 def _num_points(shape: ShapeLike) -> int:
     if isinstance(shape, TriMesh):
         return shape.num_vertices
@@ -102,8 +87,8 @@ def shape_registration(
     ``source``/``target`` may be triangle meshes or raw point clouds (a
     symmetric k-NN graph substitutes for missing connectivity).
     """
-    detail = shape_registration_detailed(source, target, matches, config)
-    return detail.labels, detail.cluster_results
+    labels, registration = shape_registration_detailed(source, target, matches, config)
+    return labels, [r.result for r in registration.cluster_reports]
 
 
 def shape_registration_detailed(
@@ -111,7 +96,8 @@ def shape_registration_detailed(
     target: ShapeLike,
     matches: MatchSet,
     config: IsometryConfig = IsometryConfig(),
-) -> ShapeRegistrationDetail:
+) -> tuple[LabelVector, Registration]:
+    """Label every match and report each cluster and the constrained matches."""
     p = len(matches)
     if p == 0:
         raise EmptyMatches("match set is empty")
@@ -138,12 +124,8 @@ def shape_registration_detailed(
     partition = kmeans_partition(src_coords, m, config.seed)
 
     solve = solve_exact if config.mode == "exact" else solve_relaxed
-    per_cluster = []
-    cluster_results: list[SolverResult] = []
-    cluster_reports: list[ClusterReport] = []
-    constrained = np.zeros(p, dtype=bool)
-    for c in range(m):
-        idx = partition.members(c)
+
+    def label_cluster(c, idx):
         k = len(idx)
         gs = gs_full[np.ix_(idx, idx)]
         gt = gt_full[np.ix_(idx, idx)]
@@ -170,24 +152,7 @@ def shape_registration_detailed(
             s=1,
         )
         program = build_covering_program(graph)
-        # graph vertices are cluster-local; translate constraints to global ids
-        for cons in program.constraints:
-            constrained[idx[list(cons)]] = True
         result = solve(program, config.solver)
-        per_cluster.append((idx, result.labels))
-        cluster_results.append(result)
-        cluster_reports.append(
-            ClusterReport(
-                indices=idx,
-                result=result,
-                num_edges=graph.num_edges,
-                num_constraints=program.num_constraints,
-            )
-        )
-    labels = aggregate_labels(per_cluster, p)
-    return ShapeRegistrationDetail(
-        labels=labels,
-        cluster_results=cluster_results,
-        constrained=constrained,
-        eps_abs=eps_abs,
-    )
+        return program, result.labels, result
+
+    return register_clusters(partition, label_cluster)

@@ -1,4 +1,4 @@
-"""Triangle meshes, Delaunay fallback triangulation, and graph geodesics.
+"""Triangle meshes, graph geodesics, and OBJ/PLY mesh files.
 
 Geodesic distances are shortest paths over the mesh edge graph with
 Euclidean edge weights -- adequate for thresholded geodesic comparisons on
@@ -14,12 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    DegenerateInput,
-    DisconnectedMesh,
-    InvalidArgument,
-    MalformedInput,
-)
+from .errors import InvalidArgument, MalformedInput
 
 KNN_FALLBACK_K = 8
 
@@ -113,15 +108,6 @@ class GeodesicTable:
         object.__setattr__(self, "point_ids", ids)
         object.__setattr__(self, "distances", d)
 
-    @cached_property
-    def _row_of(self):
-        return {int(pid): i for i, pid in enumerate(self.point_ids)}
-
-    def lookup(self, ids) -> np.ndarray:
-        """Sub-matrix of distances for the requested vertex ids."""
-        rows = np.array([self._row_of[int(i)] for i in ids], dtype=np.int64)
-        return self.distances[np.ix_(rows, rows)]
-
 
 def geodesic_distances(mesh_or_graph, query_ids) -> GeodesicTable:
     """Pairwise edge-graph shortest-path distances between query vertices.
@@ -147,204 +133,6 @@ def geodesic_distances(mesh_or_graph, query_ids) -> GeodesicTable:
     sub = np.minimum(sub, sub.T)  # paths are symmetric; pick one rounding
     np.fill_diagonal(sub, 0.0)
     return GeodesicTable(point_ids=ids, distances=sub)
-
-
-def connected_components(indptr, indices, n) -> np.ndarray:
-    comp = np.full(n, -1, dtype=np.int64)
-    cid = 0
-    for start in range(n):
-        if comp[start] != -1:
-            continue
-        stack = [start]
-        comp[start] = cid
-        while stack:
-            u = stack.pop()
-            for k in range(indptr[u], indptr[u + 1]):
-                v = int(indices[k])
-                if comp[v] == -1:
-                    comp[v] = cid
-                    stack.append(v)
-        cid += 1
-    return comp
-
-
-def mesh_diameter(mesh: TriMesh, sample_count: int, seed: int) -> float:
-    """Maximum pairwise geodesic distance over a seeded vertex sample
-    (exact when the sample covers all vertices). Requires a connected mesh."""
-    if sample_count < 2:
-        raise InvalidArgument("sample_count must be >= 2")
-    indptr, indices, _w = mesh.edge_graph
-    n = mesh.num_vertices
-    comp = connected_components(indptr, indices, n)
-    if comp.max() != 0:
-        raise DisconnectedMesh(f"mesh has {comp.max() + 1} components")
-    if sample_count >= n:
-        ids = np.arange(n, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(seed)
-        ids = np.sort(rng.choice(n, size=sample_count, replace=False))
-    table = geodesic_distances(mesh, ids)
-    return float(table.distances.max())
-
-
-# ---------------------------------------------------------------------------
-# 2-D Delaunay triangulation (Bowyer-Watson)
-# ---------------------------------------------------------------------------
-
-def _circumcircle_det(ax, ay, bx, by, cx, cy, px, py):
-    """Positive when (px,py) lies strictly inside the circumcircle of the
-    CCW triangle (a,b,c)."""
-    adx, ady = ax - px, ay - py
-    bdx, bdy = bx - px, by - py
-    cdx, cdy = cx - px, cy - py
-    ad = adx * adx + ady * ady
-    bd = bdx * bdx + bdy * bdy
-    cd = cdx * cdx + cdy * cdy
-    return (
-        adx * (bdy * cd - bd * cdy)
-        - ady * (bdx * cd - bd * cdx)
-        + ad * (bdx * cdy - bdy * cdx)
-    )
-
-
-def _orient(ax, ay, bx, by, cx, cy):
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def delaunay_triangulate_2d(points, heights=None) -> TriMesh:
-    """Delaunay triangulation of 2-D points via incremental Bowyer-Watson.
-
-    Insertion follows input order with a super-triangle 10x the bounding
-    box; cocircular quadruples are settled in favour of the lowest-index
-    diagonal. The third output coordinate is 0 unless ``heights`` is given.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InvalidArgument("points must be (n, 2)")
-    n = len(pts)
-    if n < 3:
-        raise DegenerateInput("need at least 3 points")
-    if len(np.unique(pts, axis=0)) != n:
-        raise DegenerateInput("duplicate points")
-    span = pts.max(axis=0) - pts.min(axis=0)
-    scale = float(max(span.max(), 1e-12))
-    area2 = np.abs(
-        _orient(pts[0, 0], pts[0, 1], pts[1, 0], pts[1, 1], pts[:, 0], pts[:, 1])
-    )
-    if area2.max() <= 1e-12 * scale * scale:
-        raise DegenerateInput("all points collinear")
-
-    cx, cy = pts.mean(axis=0)
-    m = 10.0 * scale
-    sup = np.array(
-        [[cx - 3.0 * m, cy - m], [cx + 3.0 * m, cy - m], [cx, cy + 3.0 * m]]
-    )
-    allp = np.vstack([pts, sup])
-    s0, s1, s2 = n, n + 1, n + 2
-    eps = 1e-12 * scale ** 4
-
-    def ccw(tri):
-        a, b, c = tri
-        if (
-            _orient(allp[a, 0], allp[a, 1], allp[b, 0], allp[b, 1], allp[c, 0], allp[c, 1])
-            < 0
-        ):
-            return (a, c, b)
-        return (a, b, c)
-
-    triangles = {ccw((s0, s1, s2))}
-    for pi in range(n):
-        px, py = allp[pi]
-        bad = []
-        for tri in triangles:
-            a, b, c = tri
-            if (
-                _circumcircle_det(
-                    allp[a, 0], allp[a, 1], allp[b, 0], allp[b, 1],
-                    allp[c, 0], allp[c, 1], px, py,
-                )
-                > eps
-            ):
-                bad.append(tri)
-        boundary = {}
-        for tri in bad:
-            a, b, c = tri
-            for e in ((a, b), (b, c), (c, a)):
-                key = (min(e), max(e))
-                if key in boundary:
-                    del boundary[key]
-                else:
-                    boundary[key] = e
-        for tri in bad:
-            triangles.discard(tri)
-        for e in boundary.values():
-            a, b = e
-            if (
-                abs(_orient(allp[a, 0], allp[a, 1], allp[b, 0], allp[b, 1], px, py))
-                <= 1e-14 * scale * scale
-            ):
-                continue  # point on the edge: skip the sliver
-            triangles.add(ccw((a, b, pi)))
-
-    triangles = {t for t in triangles if s0 not in t and s1 not in t and s2 not in t}
-    _flip_cocircular(triangles, allp, eps, scale)
-
-    tri_arr = np.array(sorted(tuple(sorted(t)) for t in triangles), dtype=np.int64)
-    if tri_arr.size == 0:
-        raise DegenerateInput("triangulation produced no triangles")
-    if heights is None:
-        z = np.zeros(n)
-    else:
-        z = np.asarray(heights, dtype=np.float64)
-        if z.shape != (n,):
-            raise InvalidArgument("heights length mismatch")
-    verts = np.column_stack([pts, z])
-    return TriMesh(vertices=verts, triangles=tri_arr)
-
-
-def _flip_cocircular(triangles, allp, eps, scale):
-    """Settle cocircular quadruples on the lowest-index diagonal.
-
-    For each interior edge whose opposite vertices are cocircular with it,
-    flip when the alternative diagonal has the lexicographically smaller
-    index pair. Each flip strictly decreases that pair, so this terminates.
-    """
-    changed = True
-    while changed:
-        changed = False
-        edge_tris = {}
-        for tri in triangles:
-            a, b, c = sorted(tri)
-            for e in ((a, b), (b, c), (a, c)):
-                edge_tris.setdefault(e, []).append(tri)
-        for e, tris in edge_tris.items():
-            if len(tris) != 2:
-                continue
-            t1, t2 = tris
-            opp1 = next(v for v in t1 if v not in e)
-            opp2 = next(v for v in t2 if v not in e)
-            alt = (min(opp1, opp2), max(opp1, opp2))
-            if alt >= e:
-                continue
-            a, b = e
-            det = _circumcircle_det(
-                allp[a, 0], allp[a, 1], allp[b, 0], allp[b, 1],
-                allp[opp1, 0], allp[opp1, 1], allp[opp2, 0], allp[opp2, 1],
-            )
-            # only cocircular quadruples may be re-diagonalised
-            if abs(det) > eps:
-                continue
-            # the quad must be strictly convex for the flip to be valid
-            o1 = _orient(allp[opp1, 0], allp[opp1, 1], allp[opp2, 0], allp[opp2, 1], allp[a, 0], allp[a, 1])
-            o2 = _orient(allp[opp1, 0], allp[opp1, 1], allp[opp2, 0], allp[opp2, 1], allp[b, 0], allp[b, 1])
-            if o1 * o2 >= -(1e-14 * scale * scale) ** 2:
-                continue
-            triangles.discard(t1)
-            triangles.discard(t2)
-            triangles.add(tuple(sorted((alt[0], alt[1], a))))
-            triangles.add(tuple(sorted((alt[0], alt[1], b))))
-            changed = True
-            break
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import _kernels
-from .core import INLIER, OUTLIER, CoveringProgram, LabelVector
+from .core import INLIER, OUTLIER, CoveringProgram, LabelVector, var_incidence
 from .errors import InfeasibleNode, InvalidArgument, LpNotConverged, TooLarge
 
 _BRUTE_FORCE_LIMIT = 24
@@ -115,17 +115,6 @@ class _Instance:
         }
 
 
-def _var_csr(num_vars, cons_indptr, cons_indices):
-    counts = np.bincount(cons_indices, minlength=num_vars)
-    indptr = np.zeros(num_vars + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(cons_indices, kind="stable")
-    cons_of_elem = np.repeat(
-        np.arange(len(cons_indptr) - 1, dtype=np.int64), np.diff(cons_indptr)
-    )
-    return indptr, cons_of_elem[order]
-
-
 def _residual_lp(res, tolerance):
     n_rows = len(res["free_ids"])
     n_cols = res["n_cons"]
@@ -144,7 +133,7 @@ def _residual_greedy(res, polish: bool = False):
     n_free = len(res["free_ids"])
     if res["n_cons"] == 0:
         return np.zeros(n_free, dtype=np.int8)
-    var_indptr, var_cons = _var_csr(n_free, res["cons_indptr"], res["cons_indices"])
+    var_indptr, var_cons = var_incidence(n_free, res["cons_indptr"], res["cons_indices"])
     picks = _kernels.greedy_pick(
         n_free, res["cons_indptr"], res["cons_indices"], var_indptr, var_cons
     )

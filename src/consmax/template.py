@@ -9,7 +9,6 @@ voting baseline (local filtering) is included for comparison.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -20,24 +19,24 @@ from .core import (
     ConsensusGraph,
     LabelVector,
     MatchSet,
-    aggregate_labels,
+    Registration,
     build_covering_program,
     kmeans_partition,
+    register_clusters,
 )
 from .errors import (
-    AllClustersSkipped,
     DegenerateConfiguration,
     EmptyMatches,
     InvalidArgument,
     TooFewMatches,
 )
 from .pose import CameraIntrinsics, p3p_solve, pose_agreement
-from .solver import SolverConfig, SolverResult, solve_exact, solve_relaxed
-
-logger = logging.getLogger(__name__)
+from .solver import SolverConfig, solve_exact, solve_relaxed
 
 MODES = ("exact", "relaxed", "local-filter")
 _COLLINEAR_REL = 1e-6
+# a cluster needs one pair of triangles sharing two matches to have an edge
+MIN_CLUSTER_MATCHES = 4
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,8 @@ def build_triangle_graph(
     k = len(tpts)
     if len(ipts) != k:
         raise InvalidArgument("template and image point counts differ")
-    if k < 4:
-        raise TooFewMatches(f"need at least 4 matches, got {k}")
+    if k < MIN_CLUSTER_MATCHES:
+        raise TooFewMatches(f"need at least {MIN_CLUSTER_MATCHES} matches, got {k}")
     ids = np.arange(k, dtype=np.int64) if match_ids is None else np.asarray(match_ids, dtype=np.int64)
 
     q = min(config.q, k - 1)
@@ -215,31 +214,13 @@ def local_filtering(
     return LabelVector(z)
 
 
-@dataclass
-class TemplateClusterReport:
-    indices: np.ndarray
-    skipped: bool
-    result: Optional[SolverResult]
-    num_vertices: int
-    num_edges: int
-    num_constraints: int
-
-
-@dataclass
-class TemplateDiagnostics:
-    cluster_reports: list
-    constrained: np.ndarray
-    unconstrained: np.ndarray
-    warnings: list
-
-
 def template_image_registration(
     template_points,
     image_points,
     matches: MatchSet,
     K: CameraIntrinsics,
     config: TemplateMatchConfig = TemplateMatchConfig(),
-) -> tuple[LabelVector, TemplateDiagnostics]:
+) -> tuple[LabelVector, Registration]:
     """Label template-image matches via per-cluster pose-agreement graphs.
 
     Matches in no constraint keep the inlier label and are reported as
@@ -258,53 +239,15 @@ def template_image_registration(
     mi = ipts[matches.pairs[:, 1]]
     m = min(config.clusters, p)
     partition = kmeans_partition(mt, m, config.seed)
+    solve = solve_exact if config.mode == "exact" else solve_relaxed
 
-    per_cluster = []
-    reports: list[TemplateClusterReport] = []
-    warnings: list[str] = []
-    constrained = np.zeros(p, dtype=bool)
-    skipped_all = True
-    for c in range(m):
-        idx = partition.members(c)
-        if len(idx) < 4:
-            msg = f"cluster {c}: only {len(idx)} matches, skipped (labels stay inlier/unconstrained)"
-            warnings.append(msg)
-            logger.warning(msg)
-            per_cluster.append((idx, LabelVector.all_inlier(len(idx))))
-            reports.append(TemplateClusterReport(idx, True, None, 0, 0, 0))
-            continue
-        skipped_all = False
+    def label_cluster(c, idx):
         graph = build_triangle_graph(mt[idx], mi[idx], K, config, match_ids=np.arange(len(idx)))
         program = build_covering_program(graph)
-        for cons in program.constraints:
-            constrained[idx[list(cons)]] = True
         if config.mode == "local-filter":
-            labels = local_filtering(
-                graph, config.tau, config.min_incident_edges, num_matches=len(idx)
-            )
-            result = None
-        else:
-            solve = solve_exact if config.mode == "exact" else solve_relaxed
-            result = solve(program, config.solver)
-            labels = result.labels
-            if len(labels) < len(idx):
-                z = np.zeros(len(idx), dtype=np.int8)
-                z[: len(labels)] = labels.z
-                labels = LabelVector(z)
-        per_cluster.append((idx, labels))
-        reports.append(
-            TemplateClusterReport(
-                idx, False, result, graph.num_vertices, graph.num_edges,
-                program.num_constraints,
-            )
-        )
-    if skipped_all:
-        raise AllClustersSkipped("no cluster had enough matches to build a graph")
-    labels = aggregate_labels(per_cluster, p)
-    diagnostics = TemplateDiagnostics(
-        cluster_reports=reports,
-        constrained=constrained,
-        unconstrained=~constrained,
-        warnings=warnings,
-    )
-    return labels, diagnostics
+            labels = local_filtering(graph, config.tau, config.min_incident_edges, num_matches=len(idx))
+            return program, labels, None
+        result = solve(program, config.solver)
+        return program, result.labels, result
+
+    return register_clusters(partition, label_cluster, min_size=MIN_CLUSTER_MATCHES)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -35,6 +36,35 @@ def tpl_dir(tmp_path_factory):
     )
     assert code == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def tpl36_dir(tmp_path_factory):
+    # with --clusters 10, k-means leaves clusters 4, 5 and 9 below 4 matches
+    d = tmp_path_factory.mktemp("tpl36")
+    code = run_cli(
+        [
+            "synth", "--kind", "template-bend", "--n", "36",
+            "--outlier-ratio", "0.2", "--seed", "1", "--out-dir", str(d),
+        ]
+    )
+    assert code == 0
+    return d
+
+
+def template_args(d, *extra):
+    return [
+        "match-template",
+        "--template", str(d / "template.obj"),
+        "--image-points", str(d / "image_points.txt"),
+        "--intrinsics", str(d / "intrinsics.json"),
+        "--matches", str(d / "matches.txt"),
+        *extra,
+    ]
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestMatchShapes:
@@ -159,6 +189,23 @@ class TestMatchTemplate:
         report = json.loads(report_path.read_text())
         assert report["solver"]["mode"] == "local-filter"
 
+    def test_traces_numbered_by_cluster_id(self, tpl36_dir, tmp_path):
+        code = run_cli(
+            template_args(
+                tpl36_dir, "--clusters", "10",
+                "--report-out", str(tmp_path / "r.json"), "--trace-out", str(tmp_path / "tr.csv"),
+            )
+        )
+        assert code == 0
+        traces = sorted(p.name for p in tmp_path.glob("tr*"))
+        assert traces == [f"tr.c{c}.csv" for c in (0, 1, 2, 3, 6, 7, 8)]
+
+    def test_zero_clusters_rejected(self, tpl36_dir, tmp_path, capsys):
+        code = run_cli(template_args(tpl36_dir, "--clusters", "0", "--report-out", str(tmp_path / "r.json")))
+        assert code == 1
+        assert "clusters must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_intrinsics_exit_2(self, tpl_dir, tmp_path):
         bad = tmp_path / "K.json"
         bad.write_text("{\"fx\": 1.0}")
@@ -187,6 +234,47 @@ class TestBench:
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["rows"]) == 2
         assert all(row["optimal"] for row in summary["rows"])
+
+
+class TestGoldenReports:
+    """sha256 of default-flag reports, recorded before the per-cluster loop
+    of both pipelines was shared: labels, certificates, unconstrained flags
+    and solver summaries must keep every byte."""
+
+    def test_match_shapes(self, iso_dir, tmp_path):
+        report = tmp_path / "r.json"
+        code = run_cli(
+            [
+                "match-shapes",
+                "--source", str(iso_dir / "source.obj"),
+                "--target", str(iso_dir / "target.obj"),
+                "--matches", str(iso_dir / "matches.txt"),
+                "--report-out", str(report),
+            ]
+        )
+        assert code == 0
+        assert sha256(report) == "3392e76401ce3cf71c6b54a7c0180993de9d8ae4d31711848404a23b5a04a767"
+
+    def test_match_template_with_skipped_clusters(self, tpl36_dir, tmp_path):
+        report = tmp_path / "r.json"
+        code = run_cli(template_args(tpl36_dir, "--clusters", "10", "--report-out", str(report)))
+        assert code == 0
+        assert json.loads(report.read_text())["solver"]["skipped_clusters"] == 3
+        assert sha256(report) == "6672a8603189bc3ddd79bcfa4087296b8dd86986a394594ace242fa504eac5da"
+
+    def test_bench(self, tmp_path):
+        code = run_cli(
+            [
+                "bench", "--n", "36", "--ratios", "0.2,0.5", "--seeds", "1",
+                "--modes", "exact", "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        assert {p.name: sha256(p) for p in tmp_path.iterdir()} == {
+            "report_r020_s0_exact.json": "b1b1e21121079e46b2edcd2a6e0e5aa74e99132e7f452c140176281c644d2cbd",
+            "report_r050_s0_exact.json": "a0738377177e429a884e19da7979edbc7fbfb8431e97c2238a8bf35c79593aaa",
+            "summary.json": "a26210ba179ea40de12fb81a285e95f74f584d4493b835c6bf0a092766de25ff",
+        }
 
 
 class TestEntryPoint:

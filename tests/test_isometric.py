@@ -78,9 +78,9 @@ class TestShapeRegistration:
     def test_zero_outliers_generates_no_constraints(self):
         spec = SynthSpec(kind="isometric-grid", n_points=49, outlier_ratio=0.0, seed=3)
         source, target, matches = synth_isometric_instance(spec)
-        detail = shape_registration_detailed(source, target, matches)
-        assert detail.labels.num_outliers == 0
-        assert not detail.constrained.any()
+        labels, registration = shape_registration_detailed(source, target, matches)
+        assert labels.num_outliers == 0
+        assert not registration.constrained.any()
 
     def test_objective_invariant_to_match_ordering(self):
         spec = SynthSpec(kind="isometric-grid", n_points=64, outlier_ratio=0.3, seed=5)

@@ -1,23 +1,15 @@
 import numpy as np
 import pytest
 
-from consmax.errors import (
-    DegenerateInput,
-    DisconnectedMesh,
-    InvalidArgument,
-    MalformedInput,
-)
+from consmax.errors import InvalidArgument, MalformedInput
 from consmax.mesh import (
     TriMesh,
-    _circumcircle_det,
-    connected_components,
-    delaunay_triangulate_2d,
     geodesic_distances,
     knn_graph,
     load_mesh,
-    mesh_diameter,
     save_mesh,
 )
+from consmax.synth import grid_mesh
 
 
 def chain_mesh():
@@ -37,6 +29,15 @@ def two_islands():
     )
 
 
+def jittered_grid(n, seed):
+    """``grid_mesh(n)`` with every vertex moved by up to 0.3 grid spacings in
+    x and y, so that edge lengths and shortest paths are irregular."""
+    grid = grid_mesh(n)
+    rng = np.random.default_rng(seed)
+    shift = np.column_stack([rng.uniform(-0.3, 0.3, size=(n, 2)), np.zeros(n)])
+    return TriMesh(grid.vertices + shift, grid.triangles)
+
+
 class TestTriMesh:
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -45,58 +46,6 @@ class TestTriMesh:
     def test_index_range(self):
         with pytest.raises(InvalidArgument):
             TriMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
-
-
-class TestDelaunay:
-    def test_unit_square_two_triangles(self):
-        mesh = delaunay_triangulate_2d([[0, 0], [1, 0], [1, 1], [0, 1]])
-        assert len(mesh.triangles) == 2
-        tris = {tuple(t) for t in mesh.triangles.tolist()}
-        # lowest-index diagonal (0, 2) splits the cocircular square
-        assert tris == {(0, 1, 2), (0, 2, 3)}
-
-    def test_three_points_one_triangle(self):
-        mesh = delaunay_triangulate_2d([[0, 0], [1, 0], [0, 1]])
-        assert mesh.triangles.tolist() == [[0, 1, 2]]
-
-    def test_collinear_rejected(self):
-        with pytest.raises(DegenerateInput):
-            delaunay_triangulate_2d([[0, 0], [1, 0], [2, 0], [3, 0]])
-
-    def test_too_few_points(self):
-        with pytest.raises(DegenerateInput):
-            delaunay_triangulate_2d([[0, 0], [1, 0]])
-
-    def test_heights_carried(self):
-        mesh = delaunay_triangulate_2d(
-            [[0, 0], [1, 0], [0, 1]], heights=[5.0, 6.0, 7.0]
-        )
-        assert mesh.vertices[:, 2].tolist() == [5.0, 6.0, 7.0]
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_empty_circumcircle_property(self, seed):
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(0.0, 1.0, size=(45, 2))
-        mesh = delaunay_triangulate_2d(pts)
-        scale = float((pts.max(0) - pts.min(0)).max())
-        for a, b, c in mesh.triangles.tolist():
-            A, B, C = pts[a], pts[b], pts[c]
-            if (B[0] - A[0]) * (C[1] - A[1]) - (B[1] - A[1]) * (C[0] - A[0]) < 0:
-                B, C = C, B
-            for j in range(len(pts)):
-                if j in (a, b, c):
-                    continue
-                det = _circumcircle_det(
-                    A[0], A[1], B[0], B[1], C[0], C[1], pts[j, 0], pts[j, 1]
-                )
-                assert det <= 1e-9 * scale ** 4
-
-    def test_grid_is_handled(self):
-        # every grid cell is a cocircular quadruple
-        gx, gy = np.meshgrid(np.arange(4.0), np.arange(4.0))
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        mesh = delaunay_triangulate_2d(pts)
-        assert len(mesh.triangles) == 18  # 9 cells, 2 triangles each
 
 
 class TestGeodesics:
@@ -117,9 +66,7 @@ class TestGeodesics:
         assert np.array_equal(table.distances, table.distances.T)
 
     def test_geodesic_at_least_euclidean(self):
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(0, 1, size=(30, 2))
-        mesh = delaunay_triangulate_2d(pts)
+        mesh = jittered_grid(30, seed=5)
         ids = np.arange(30)
         table = geodesic_distances(mesh, ids)
         euclid = np.linalg.norm(
@@ -128,9 +75,7 @@ class TestGeodesics:
         assert (table.distances >= euclid - 1e-9).all()
 
     def test_against_floyd_warshall(self):
-        rng = np.random.default_rng(9)
-        pts = rng.uniform(0, 1, size=(40, 2))
-        mesh = delaunay_triangulate_2d(pts)
+        mesh = jittered_grid(40, seed=9)
         indptr, indices, weights = mesh.edge_graph
         n = mesh.num_vertices
         dense = np.full((n, n), np.inf)
@@ -144,9 +89,8 @@ class TestGeodesics:
         assert np.allclose(table.distances, dense, atol=1e-9)
 
     def test_triangle_inequality(self):
+        mesh = jittered_grid(25, seed=13)
         rng = np.random.default_rng(13)
-        pts = rng.uniform(0, 1, size=(25, 2))
-        mesh = delaunay_triangulate_2d(pts)
         d = geodesic_distances(mesh, np.arange(25)).distances
         for _ in range(200):
             i, j, k = rng.integers(0, 25, size=3)
@@ -175,34 +119,6 @@ class TestKnnGraph:
         pts = rng.normal(size=(30, 3))
         table = geodesic_distances(pts, np.arange(10))
         assert np.isfinite(table.distances).all()
-
-
-class TestMeshDiameter:
-    def test_chain(self):
-        assert mesh_diameter(chain_mesh(), 10, seed=0) == pytest.approx(2.0)
-
-    def test_unit_triangle(self):
-        mesh = TriMesh(
-            np.array([[0.0, 0, 0], [1, 0, 0], [0.5, np.sqrt(3) / 2, 0]]),
-            np.array([[0, 1, 2]]),
-        )
-        assert mesh_diameter(mesh, 10, seed=0) == pytest.approx(1.0)
-
-    def test_disconnected_raises(self):
-        with pytest.raises(DisconnectedMesh):
-            mesh_diameter(two_islands(), 10, seed=0)
-
-    def test_sample_count_validation(self):
-        with pytest.raises(InvalidArgument):
-            mesh_diameter(chain_mesh(), 1, seed=0)
-
-    def test_subsample_below_full(self):
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0, 1, size=(40, 2))
-        mesh = delaunay_triangulate_2d(pts)
-        full = mesh_diameter(mesh, 40, seed=0)
-        sampled = mesh_diameter(mesh, 10, seed=0)
-        assert sampled <= full + 1e-12
 
 
 class TestMeshIO:
@@ -250,11 +166,3 @@ class TestMeshIO:
         with pytest.raises(MalformedInput):
             load_mesh(path)
 
-
-class TestConnectedComponents:
-    def test_two_components(self):
-        indptr, indices, _ = two_islands().edge_graph
-        comp = connected_components(indptr, indices, 6)
-        assert comp[0] == comp[1] == comp[2]
-        assert comp[3] == comp[4] == comp[5]
-        assert comp[0] != comp[3]
