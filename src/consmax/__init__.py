@@ -8,7 +8,6 @@ preservation) and 3D-template-to-image matching (piecewise-rigid P3P pose
 agreement), plus a voting baseline, synthetic benchmarks, and a CLI.
 """
 
-from ._accel import NUMBA_ENABLED
 from .core import (
     INLIER,
     OUTLIER,
@@ -59,8 +58,11 @@ from .template import (
 
 __version__ = "0.1.0"
 
+# The kernels are numpy-only. The constant stays because the benchmark
+# script e2ebench/run.py reads it to print the backend name.
+NUMBA_ENABLED = False
+
 __all__ = [
-    "NUMBA_ENABLED",
     "INLIER",
     "OUTLIER",
     "ClusterPartition",

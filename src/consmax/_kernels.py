@@ -1,13 +1,8 @@
 """Hot numeric kernels: Dijkstra, covering-LP simplex, greedy cover.
 
-Each kernel has two implementations with identical semantics:
-
-* ``_*_nb`` — explicit-loop version compiled with ``numba.njit(cache=True)``;
-* ``_*_py`` — vectorized pure-numpy fallback.
-
-The public aliases (``dijkstra_table``, ``packing_simplex``, ``greedy_pick``)
-point at the numba version when available and at the fallback otherwise (see
-:mod:`consmax._accel`). ``benchmarks/bench_kernels.py`` times both paths.
+Each kernel has one numpy implementation. Callers look the kernels up as
+``_kernels.dijkstra_table``, ``_kernels.packing_simplex`` and
+``_kernels.greedy_pick`` at call time, so a profiler can wrap them in place.
 
 LP formulation
 --------------
@@ -30,9 +25,7 @@ import heapq
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit
-
-# status codes shared by both simplex implementations
+# status codes returned by packing_simplex
 LP_OPTIMAL = 0
 LP_ITERATION_LIMIT = 1
 LP_UNBOUNDED = 2
@@ -45,7 +38,7 @@ _BLAND_AFTER = 2000  # consecutive degenerate pivots before switching rules
 # Dijkstra over a CSR edge graph
 # ---------------------------------------------------------------------------
 
-def _dijkstra_table_py(indptr, indices, weights, sources, n):
+def dijkstra_table(indptr, indices, weights, sources, n):
     out = np.full((len(sources), n), np.inf)
     for si, src in enumerate(sources):
         dist = out[si]
@@ -66,72 +59,11 @@ def _dijkstra_table_py(indptr, indices, weights, sources, n):
     return out
 
 
-def _dijkstra_table_nb_impl(indptr, indices, weights, sources, n):
-    ns = sources.shape[0]
-    out = np.full((ns, n), np.inf)
-    cap = indices.shape[0] + 1
-    heap_key = np.empty(cap, np.float64)
-    heap_val = np.empty(cap, np.int64)
-    done = np.zeros(n, np.uint8)
-    for si in range(ns):
-        dist = out[si]
-        for i in range(n):
-            done[i] = 0
-        src = sources[si]
-        dist[src] = 0.0
-        # binary min-heap with lazy deletion
-        heap_key[0] = 0.0
-        heap_val[0] = src
-        size = 1
-        while size > 0:
-            d = heap_key[0]
-            u = heap_val[0]
-            size -= 1
-            heap_key[0] = heap_key[size]
-            heap_val[0] = heap_val[size]
-            pos = 0
-            while True:
-                left = 2 * pos + 1
-                if left >= size:
-                    break
-                small = left
-                right = left + 1
-                if right < size and heap_key[right] < heap_key[left]:
-                    small = right
-                if heap_key[small] < heap_key[pos]:
-                    heap_key[pos], heap_key[small] = heap_key[small], heap_key[pos]
-                    heap_val[pos], heap_val[small] = heap_val[small], heap_val[pos]
-                    pos = small
-                else:
-                    break
-            if done[u]:
-                continue
-            done[u] = 1
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                nd = d + weights[k]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    pos = size
-                    heap_key[pos] = nd
-                    heap_val[pos] = v
-                    size += 1
-                    while pos > 0:
-                        parent = (pos - 1) // 2
-                        if heap_key[pos] < heap_key[parent]:
-                            heap_key[pos], heap_key[parent] = heap_key[parent], heap_key[pos]
-                            heap_val[pos], heap_val[parent] = heap_val[parent], heap_val[pos]
-                            pos = parent
-                        else:
-                            break
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Revised simplex on the packing dual of a covering LP
 # ---------------------------------------------------------------------------
 
-def _rebuild_basis_py(basis, n_rows, n_cols, col_indptr, col_indices):
+def _rebuild_basis(basis, n_rows, n_cols, col_indptr, col_indices):
     B = np.zeros((n_rows, n_rows))
     for k, j in enumerate(basis):
         if j < n_cols:
@@ -144,7 +76,7 @@ def _rebuild_basis_py(basis, n_rows, n_cols, col_indptr, col_indices):
     return binv, xb
 
 
-def _packing_simplex_py(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
+def packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
     """Vectorized revised simplex. Returns (status, objective, z, iterations)."""
     if n_cols == 0:
         return LP_OPTIMAL, 0.0, np.zeros(n_rows), 0
@@ -200,7 +132,7 @@ def _packing_simplex_py(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
             bland = True
         it += 1
         if it % _REFACTOR_EVERY == 0:
-            binv, xb = _rebuild_basis_py(basis, n_rows, n_cols, col_indptr, col_indices)
+            binv, xb = _rebuild_basis(basis, n_rows, n_cols, col_indptr, col_indices)
     return LP_ITERATION_LIMIT, float(cb @ xb), _primal_from_pi(pi), it
 
 
@@ -210,149 +142,11 @@ def _primal_from_pi(pi):
     return z
 
 
-def _packing_simplex_nb_impl(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
-    z = np.zeros(n_rows)
-    if n_cols == 0:
-        return LP_OPTIMAL, 0.0, z, 0
-    basis = np.empty(n_rows, np.int64)
-    for i in range(n_rows):
-        basis[i] = n_cols + i
-    cb = np.zeros(n_rows)
-    binv = np.eye(n_rows)
-    xb = np.ones(n_rows)
-    pi = np.zeros(n_rows)
-    u = np.empty(n_rows)
-    degenerate_run = 0
-    bland = False
-    it = 0
-    while it < max_iter:
-        for i in range(n_rows):
-            s = 0.0
-            for r in range(n_rows):
-                s += cb[r] * binv[r, i]
-            pi[i] = s
-        # entering column: structural columns first, then slacks
-        j = -1
-        best = tol
-        if bland:
-            for c in range(n_cols):
-                dj = 1.0
-                for k in range(col_indptr[c], col_indptr[c + 1]):
-                    dj -= pi[col_indices[k]]
-                if dj > tol:
-                    j = c
-                    break
-            if j < 0:
-                for i in range(n_rows):
-                    if -pi[i] > tol:
-                        j = n_cols + i
-                        break
-        else:
-            for c in range(n_cols):
-                dj = 1.0
-                for k in range(col_indptr[c], col_indptr[c + 1]):
-                    dj -= pi[col_indices[k]]
-                if dj > best:
-                    best = dj
-                    j = c
-            for i in range(n_rows):
-                if -pi[i] > best:
-                    best = -pi[i]
-                    j = n_cols + i
-        if j < 0:
-            obj = 0.0
-            for i in range(n_rows):
-                obj += cb[i] * xb[i]
-            for i in range(n_rows):
-                v = pi[i]
-                if v < 0.0:
-                    v = 0.0
-                elif v > 1.0:
-                    v = 1.0
-                z[i] = v
-            return LP_OPTIMAL, obj, z, it
-        if j < n_cols:
-            for i in range(n_rows):
-                u[i] = 0.0
-            for k in range(col_indptr[j], col_indptr[j + 1]):
-                r = col_indices[k]
-                for i in range(n_rows):
-                    u[i] += binv[i, r]
-            enter_cost = 1.0
-        else:
-            r = j - n_cols
-            for i in range(n_rows):
-                u[i] = binv[i, r]
-            enter_cost = 0.0
-        kpiv = -1
-        theta = np.inf
-        for i in range(n_rows):
-            if u[i] > 1e-10:
-                ratio = xb[i] / u[i]
-                if ratio < theta - 1e-12 or (ratio <= theta + 1e-12 and (kpiv < 0 or basis[i] < basis[kpiv])):
-                    if ratio < theta:
-                        theta = ratio
-                    kpiv = i
-        if kpiv < 0:
-            obj = 0.0
-            for i in range(n_rows):
-                obj += cb[i] * xb[i]
-            return LP_UNBOUNDED, obj, z, it
-        piv = u[kpiv]
-        for col in range(n_rows):
-            binv[kpiv, col] /= piv
-        for i in range(n_rows):
-            if i != kpiv and u[i] != 0.0:
-                f = u[i]
-                for col in range(n_rows):
-                    binv[i, col] -= f * binv[kpiv, col]
-        for i in range(n_rows):
-            xb[i] -= theta * u[i]
-            if xb[i] < 0.0:
-                xb[i] = 0.0
-        xb[kpiv] = theta
-        basis[kpiv] = j
-        cb[kpiv] = enter_cost
-        if theta <= 1e-12:
-            degenerate_run += 1
-        else:
-            degenerate_run = 0
-        if degenerate_run > _BLAND_AFTER:
-            bland = True
-        it += 1
-        if it % _REFACTOR_EVERY == 0:
-            B = np.zeros((n_rows, n_rows))
-            for k in range(n_rows):
-                bj = basis[k]
-                if bj < n_cols:
-                    for e in range(col_indptr[bj], col_indptr[bj + 1]):
-                        B[col_indices[e], k] = 1.0
-                else:
-                    B[bj - n_cols, k] = 1.0
-            binv = np.linalg.inv(B)
-            for i in range(n_rows):
-                s = 0.0
-                for col in range(n_rows):
-                    s += binv[i, col]
-                xb[i] = s if s > 0.0 else 0.0
-    obj = 0.0
-    for i in range(n_rows):
-        obj += cb[i] * xb[i]
-    for i in range(n_rows):
-        v = pi[i]
-        if v < 0.0:
-            v = 0.0
-        elif v > 1.0:
-            v = 1.0
-        z[i] = v
-    return LP_ITERATION_LIMIT, obj, z, it
-
-
 # ---------------------------------------------------------------------------
 # Greedy cover (incumbent generator)
 # ---------------------------------------------------------------------------
 
-def _greedy_pick_py(num_vars, cons_indptr, cons_indices, var_indptr, var_cons):
+def greedy_pick(num_vars, cons_indptr, cons_indices, var_indptr, var_cons):
     n_cons = len(cons_indptr) - 1
     picked = np.zeros(num_vars, dtype=np.int8)
     if n_cons == 0:
@@ -369,274 +163,3 @@ def _greedy_pick_py(num_vars, cons_indptr, cons_indices, var_indptr, var_cons):
                 remaining -= 1
                 counts[cons_indices[cons_indptr[l]:cons_indptr[l + 1]]] -= 1
     return picked
-
-
-def _greedy_pick_nb_impl(num_vars, cons_indptr, cons_indices, var_indptr, var_cons):
-    n_cons = cons_indptr.shape[0] - 1
-    picked = np.zeros(num_vars, np.int8)
-    if n_cons == 0:
-        return picked
-    counts = np.zeros(num_vars, np.int64)
-    for k in range(cons_indices.shape[0]):
-        counts[cons_indices[k]] += 1
-    unsat = np.ones(n_cons, np.uint8)
-    remaining = n_cons
-    while remaining > 0:
-        v = 0
-        best = counts[0]
-        for i in range(1, num_vars):
-            if counts[i] > best:
-                best = counts[i]
-                v = i
-        picked[v] = 1
-        for e in range(var_indptr[v], var_indptr[v + 1]):
-            l = var_cons[e]
-            if unsat[l] == 1:
-                unsat[l] = 0
-                remaining -= 1
-                for k in range(cons_indptr[l], cons_indptr[l + 1]):
-                    counts[cons_indices[k]] -= 1
-    return picked
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Newton pose refinement against bearing residuals
-# ---------------------------------------------------------------------------
-
-def _pose_refine_gn_py(R0, t0, P, F, iters):
-    """Minimize ||normalize(R P + t) - F||; returns (R, t, rank_deficient).
-
-    ``rank_deficient`` signals a degenerate bearing Jacobian at the optimum
-    (the caller applies a second-order polish in that case).
-    """
-    R = R0.copy()
-    t = t0.copy()
-    eye3 = np.eye(3)
-
-    def residual(Rc, tc):
-        X = P @ Rc.T + tc
-        norms = np.sqrt((X * X).sum(axis=1))
-        if (norms <= 1e-12).any():
-            return None, None, None
-        return (X / norms[:, None] - F).ravel(), X, norms
-
-    def jacobian(X, norms, tc):
-        U = X / norms[:, None]
-        proj = (eye3[None, :, :] - U[:, :, None] * U[:, None, :]) / norms[:, None, None]
-        W = X - tc
-        skews = np.zeros((3, 3, 3))
-        skews[:, 0, 1] = -W[:, 2]
-        skews[:, 0, 2] = W[:, 1]
-        skews[:, 1, 0] = W[:, 2]
-        skews[:, 1, 2] = -W[:, 0]
-        skews[:, 2, 0] = -W[:, 1]
-        skews[:, 2, 1] = W[:, 0]
-        J = np.empty((3, 3, 6))
-        J[:, :, :3] = -proj @ skews
-        J[:, :, 3:] = proj
-        return J.reshape(9, 6)
-
-    r, X, norms = residual(R, t)
-    if r is None:
-        return R, t, 0
-    J = None
-    for _ in range(iters):
-        if np.abs(r).max() < 1e-16:
-            break
-        J = jacobian(X, norms, t)
-        JtJ = J.T @ J
-        g = J.T @ r
-        try:
-            delta = -np.linalg.solve(JtJ + 1e-14 * np.trace(JtJ) * np.eye(6), g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.isfinite(delta).all():
-            break
-        w = delta[:3]
-        angle = float(np.sqrt(w @ w))
-        if angle > 0.0:
-            K = np.array(
-                [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
-            ) / angle
-            dR = eye3 + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
-            R_new = dR @ R
-        else:
-            R_new = R
-        t_new = t + delta[3:]
-        r_new, X_new, norms_new = residual(R_new, t_new)
-        if r_new is None or r_new @ r_new > r @ r:
-            break
-        R, t, r, X, norms = R_new, t_new, r_new, X_new, norms_new
-        if delta @ delta < 1e-32:
-            break
-    if J is None:
-        J = jacobian(X, norms, t)
-    evals = np.linalg.eigvalsh(J.T @ J)
-    deficient = 1 if evals[0] < 1e-10 * max(evals[-1], 1e-300) else 0
-    return R, t, deficient
-
-
-def _pose_refine_gn_nb_impl(R0, t0, P, F, iters):
-    R = R0.copy()
-    t = t0.copy()
-    X = np.empty((3, 3))
-    U = np.empty((3, 3))
-    norms = np.empty(3)
-    r = np.empty(9)
-    J = np.empty((9, 6))
-
-    def _eval(R, t, X, U, norms, r):
-        # returns squared residual norm, or -1 on failure
-        for i in range(3):
-            for c in range(3):
-                X[i, c] = R[c, 0] * P[i, 0] + R[c, 1] * P[i, 1] + R[c, 2] * P[i, 2] + t[c]
-            n2 = X[i, 0] ** 2 + X[i, 1] ** 2 + X[i, 2] ** 2
-            if n2 <= 1e-24:
-                return -1.0
-            norms[i] = np.sqrt(n2)
-            for c in range(3):
-                U[i, c] = X[i, c] / norms[i]
-                r[3 * i + c] = U[i, c] - F[i, c]
-        s = 0.0
-        for k in range(9):
-            s += r[k] * r[k]
-        return s
-
-    rr = _eval(R, t, X, U, norms, r)
-    if rr < 0.0:
-        return R, t, 0
-
-    def _jac(X, U, norms, t, J):
-        for i in range(3):
-            ninv = 1.0 / norms[i]
-            w0 = X[i, 0] - t[0]
-            w1 = X[i, 1] - t[1]
-            w2 = X[i, 2] - t[2]
-            for a in range(3):
-                e0 = 1.0 if a == 0 else 0.0
-                e1 = 1.0 if a == 1 else 0.0
-                e2 = 1.0 if a == 2 else 0.0
-                pa0 = (e0 - U[i, a] * U[i, 0]) * ninv
-                pa1 = (e1 - U[i, a] * U[i, 1]) * ninv
-                pa2 = (e2 - U[i, a] * U[i, 2]) * ninv
-                # -proj @ skew(w); skew = [[0,-w2,w1],[w2,0,-w0],[-w1,w0,0]]
-                J[3 * i + a, 0] = -(pa1 * w2 - pa2 * w1)
-                J[3 * i + a, 1] = -(-pa0 * w2 + pa2 * w0)
-                J[3 * i + a, 2] = -(pa0 * w1 - pa1 * w0)
-                J[3 * i + a, 3] = pa0
-                J[3 * i + a, 4] = pa1
-                J[3 * i + a, 5] = pa2
-
-    have_jac = False
-    Rn = np.empty((3, 3))
-    tn = np.empty(3)
-    Xn = np.empty((3, 3))
-    Un = np.empty((3, 3))
-    normsn = np.empty(3)
-    rn = np.empty(9)
-    for _ in range(iters):
-        rmax = 0.0
-        for k in range(9):
-            a = abs(r[k])
-            if a > rmax:
-                rmax = a
-        if rmax < 1e-16:
-            break
-        _jac(X, U, norms, t, J)
-        have_jac = True
-        JtJ = J.T @ J
-        tr = JtJ[0, 0] + JtJ[1, 1] + JtJ[2, 2] + JtJ[3, 3] + JtJ[4, 4] + JtJ[5, 5]
-        A = JtJ + 1e-14 * tr * np.eye(6)
-        g = J.T @ r
-        delta = np.linalg.solve(A, -g)
-        ok = True
-        for k in range(6):
-            if not np.isfinite(delta[k]):
-                ok = False
-        if not ok:
-            break
-        w0, w1, w2 = delta[0], delta[1], delta[2]
-        angle = np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-        if angle > 0.0:
-            k0, k1, k2 = w0 / angle, w1 / angle, w2 / angle
-            ca = np.cos(angle)
-            sa = np.sin(angle)
-            one_ca = 1.0 - ca
-            dR = np.empty((3, 3))
-            dR[0, 0] = ca + k0 * k0 * one_ca
-            dR[0, 1] = k0 * k1 * one_ca - k2 * sa
-            dR[0, 2] = k0 * k2 * one_ca + k1 * sa
-            dR[1, 0] = k1 * k0 * one_ca + k2 * sa
-            dR[1, 1] = ca + k1 * k1 * one_ca
-            dR[1, 2] = k1 * k2 * one_ca - k0 * sa
-            dR[2, 0] = k2 * k0 * one_ca - k1 * sa
-            dR[2, 1] = k2 * k1 * one_ca + k0 * sa
-            dR[2, 2] = ca + k2 * k2 * one_ca
-            for a in range(3):
-                for b in range(3):
-                    Rn[a, b] = dR[a, 0] * R[0, b] + dR[a, 1] * R[1, b] + dR[a, 2] * R[2, b]
-        else:
-            for a in range(3):
-                for b in range(3):
-                    Rn[a, b] = R[a, b]
-        for c in range(3):
-            tn[c] = t[c] + delta[3 + c]
-        rrn = _eval(Rn, tn, Xn, Un, normsn, rn)
-        if rrn < 0.0 or rrn > rr:
-            break
-        for a in range(3):
-            for b in range(3):
-                R[a, b] = Rn[a, b]
-                X[a, b] = Xn[a, b]
-                U[a, b] = Un[a, b]
-            t[a] = tn[a]
-            norms[a] = normsn[a]
-        for k in range(9):
-            r[k] = rn[k]
-        rr = rrn
-        step2 = 0.0
-        for k in range(6):
-            step2 += delta[k] * delta[k]
-        if step2 < 1e-32:
-            break
-    if not have_jac:
-        _jac(X, U, norms, t, J)
-    JtJ = J.T @ J
-    evals = np.linalg.eigvalsh(JtJ)
-    emax = evals[5] if evals[5] > 1e-300 else 1e-300
-    deficient = 1 if evals[0] < 1e-10 * emax else 0
-    return R, t, deficient
-
-
-if NUMBA_ENABLED:
-    _sig_cache = dict(cache=True)
-    _dijkstra_table_nb = njit(**_sig_cache)(_dijkstra_table_nb_impl)
-    _packing_simplex_nb = njit(**_sig_cache)(_packing_simplex_nb_impl)
-    _greedy_pick_nb = njit(**_sig_cache)(_greedy_pick_nb_impl)
-    _pose_refine_gn_nb = njit(**_sig_cache)(_pose_refine_gn_nb_impl)
-    dijkstra_table = _dijkstra_table_nb
-    packing_simplex = _packing_simplex_nb
-    greedy_pick = _greedy_pick_nb
-    pose_refine_gn = _pose_refine_gn_nb
-else:
-    dijkstra_table = _dijkstra_table_py
-    packing_simplex = _packing_simplex_py
-    greedy_pick = _greedy_pick_py
-    pose_refine_gn = _pose_refine_gn_py
-
-
-def warmup():
-    """Trigger JIT compilation of all kernels on trivial inputs."""
-    indptr = np.array([0, 1, 2], np.int64)
-    indices = np.array([1, 0], np.int64)
-    w = np.array([1.0, 1.0])
-    dijkstra_table(indptr, indices, w, np.array([0], np.int64), 2)
-    cptr = np.array([0, 2], np.int64)
-    cidx = np.array([0, 1], np.int64)
-    packing_simplex(2, 1, cptr, cidx, 1e-7, 100)
-    vptr = np.array([0, 1, 2], np.int64)
-    vcons = np.array([0, 0], np.int64)
-    greedy_pick(2, cptr, cidx, vptr, vcons)
-    P = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 2.0], [0.0, 1.0, 2.0]])
-    F = P / np.sqrt((P * P).sum(axis=1))[:, None]
-    pose_refine_gn(np.eye(3), np.zeros(3), P, F, 3)

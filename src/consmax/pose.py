@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     BehindCamera,
     DegenerateConfiguration,
@@ -166,10 +165,85 @@ def _polish_root(coeffs, d1, d2, x: float, iters: int = 3) -> float:
     return float(x)
 
 
-def _skew(w: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]
-    )
+def _orthonormalize(R: np.ndarray) -> np.ndarray:
+    """Nearest rotation to ``R`` (SVD with the determinant forced to +1)."""
+    Uq, _, Vtq = np.linalg.svd(R)
+    return Uq @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Uq @ Vtq))]) @ Vtq
+
+
+def _bearing_residual(R, t, P, F):
+    """Flattened residual ``normalize(R P + t) - F`` with the camera-frame
+    points and their norms; three Nones when a point sits at the centre."""
+    X = P @ R.T + t
+    norms = np.sqrt((X * X).sum(axis=1))
+    if (norms <= 1e-12).any():
+        return None, None, None
+    return (X / norms[:, None] - F).ravel(), X, norms
+
+
+def _bearing_jacobian(X, norms, t):
+    """(9, 6) Jacobian of the bearing residual with respect to a rotation
+    increment applied on the left and to the translation."""
+    U = X / norms[:, None]
+    proj = (np.eye(3)[None, :, :] - U[:, :, None] * U[:, None, :]) / norms[:, None, None]
+    W = X - t
+    skews = np.zeros((3, 3, 3))
+    skews[:, 0, 1] = -W[:, 2]
+    skews[:, 0, 2] = W[:, 1]
+    skews[:, 1, 0] = W[:, 2]
+    skews[:, 1, 2] = -W[:, 0]
+    skews[:, 2, 0] = -W[:, 1]
+    skews[:, 2, 1] = W[:, 0]
+    J = np.empty((3, 3, 6))
+    J[:, :, :3] = -proj @ skews
+    J[:, :, 3:] = proj
+    return J.reshape(9, 6)
+
+
+def _apply_step(R, t, delta):
+    """Rotate ``R`` on the left by the axis-angle vector ``delta[:3]``
+    (Rodrigues) and shift ``t`` by ``delta[3:]``."""
+    w = delta[:3]
+    angle = float(np.sqrt(w @ w))
+    if angle > 0.0:
+        K = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]) / angle
+        R = (np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)) @ R
+    return R, t + delta[3:]
+
+
+def _gauss_newton(R, t, P, F, iters: int):
+    """Minimize the bearing residual; returns ``(R, t, rank_deficient)``.
+
+    ``rank_deficient`` flags a degenerate bearing Jacobian at the last
+    linearization point.
+    """
+    r, X, norms = _bearing_residual(R, t, P, F)
+    if r is None:
+        return R, t, False
+    J = None
+    for _ in range(iters):
+        if np.abs(r).max() < 1e-16:
+            break
+        J = _bearing_jacobian(X, norms, t)
+        JtJ = J.T @ J
+        g = J.T @ r
+        try:
+            delta = -np.linalg.solve(JtJ + 1e-14 * np.trace(JtJ) * np.eye(6), g)
+        except np.linalg.LinAlgError:
+            break
+        if not np.isfinite(delta).all():
+            break
+        R_new, t_new = _apply_step(R, t, delta)
+        r_new, X_new, norms_new = _bearing_residual(R_new, t_new, P, F)
+        if r_new is None or r_new @ r_new > r @ r:
+            break
+        R, t, r, X, norms = R_new, t_new, r_new, X_new, norms_new
+        if delta @ delta < 1e-32:
+            break
+    if J is None:
+        J = _bearing_jacobian(X, norms, t)
+    evals = np.linalg.eigvalsh(J.T @ J)
+    return R, t, bool(evals[0] < 1e-10 * max(evals[-1], 1e-300))
 
 
 def _refine_pose(R, t, P, F, iters: int = 40):
@@ -177,42 +251,18 @@ def _refine_pose(R, t, P, F, iters: int = 40):
 
     The quartic path loses accuracy near multiple roots (the cosines round
     when the quartic is formed); polishing against the original bearings
-    restores machine precision. Runs as a compiled kernel; rank-deficient
-    configurations get a second-order polish on top.
+    restores machine precision. Rank-deficient configurations get a
+    second-order polish on top.
     """
-    R, t, deficient = _kernels.pose_refine_gn(
-        np.ascontiguousarray(R, dtype=np.float64),
-        np.ascontiguousarray(t, dtype=np.float64),
-        np.ascontiguousarray(P, dtype=np.float64),
-        np.ascontiguousarray(F, dtype=np.float64),
-        iters,
-    )
+    R, t, deficient = _gauss_newton(R, t, P, F, iters)
     # one orthonormalization at the end instead of per step
-    Uq, _, Vtq = np.linalg.svd(R)
-    R = Uq @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Uq @ Vtq))]) @ Vtq
+    R = _orthonormalize(R)
     if deficient:
-        def residual(Rc, tc):
-            X = P @ Rc.T + tc
-            norms = np.sqrt((X * X).sum(axis=1))
-            if (norms <= 1e-12).any():
-                return None, None, None
-            return (X / norms[:, None] - F).ravel(), X, norms
-
-        return _null_direction_polish(R, t, P, F, residual)
+        return _null_direction_polish(R, t, P, F)
     return R, t
 
 
-def _apply_step(R, t, n, alpha):
-    w0, w1, w2 = alpha * n[0], alpha * n[1], alpha * n[2]
-    angle = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    if angle > 0.0:
-        K = np.array([[0.0, -w2, w1], [w2, 0.0, -w0], [-w1, w0, 0.0]]) / angle
-        dR = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-        R = dR @ R
-    return R, t + alpha * n[3:]
-
-
-def _null_direction_polish(R, t, P, F, residual, rounds: int = 16):
+def _null_direction_polish(R, t, P, F, rounds: int = 16):
     """Polish along a rank-deficient direction of the bearing Jacobian
     (degenerate 'danger cylinder' configurations).
 
@@ -224,22 +274,16 @@ def _null_direction_polish(R, t, P, F, residual, rounds: int = 16):
     """
     prev_alpha = np.inf
     for _ in range(rounds):
-        r0, X, norms = residual(R, t)
+        r0, X, norms = _bearing_residual(R, t, P, F)
         if r0 is None:
             return R, t
-        U = X / norms[:, None]
-        J = np.zeros((9, 6))
-        for i in range(3):
-            proj = (np.eye(3) - np.outer(U[i], U[i])) / norms[i]
-            J[3 * i:3 * i + 3, :3] = -proj @ _skew(X[i] - t)
-            J[3 * i:3 * i + 3, 3:] = proj
-        _, svals, Vt = np.linalg.svd(J)
+        _, svals, Vt = np.linalg.svd(_bearing_jacobian(X, norms, t))
         if svals[-1] > 1e-5 * svals[0]:
             return R, t  # full rank: GN already did its job
         n = Vt[-1]
         h = 1e-5 * max(1.0, float(np.linalg.norm(t)))
-        rp = residual(*_apply_step(R, t, n, +h))[0]
-        rm = residual(*_apply_step(R, t, n, -h))[0]
+        rp = _bearing_residual(*_apply_step(R, t, h * n), P, F)[0]
+        rm = _bearing_residual(*_apply_step(R, t, -h * n), P, F)[0]
         if rp is None or rm is None:
             return R, t
         d = rp + rm - 2.0 * r0  # ~ 2*kappa*h^2 along the curvature direction
@@ -256,13 +300,12 @@ def _null_direction_polish(R, t, P, F, residual, rounds: int = 16):
             return R, t
         if abs(alpha) < 1e-13 or abs(alpha) >= prev_alpha:
             return R, t
-        R_new, t_new = _apply_step(R, t, n, alpha)
-        r_new = residual(R_new, t_new)[0]
+        R_new, t_new = _apply_step(R, t, alpha * n)
+        r_new = _bearing_residual(R_new, t_new, P, F)[0]
         # residual comparisons at the noise floor need an absolute slack
         if r_new is None or np.linalg.norm(r_new) > np.linalg.norm(r0) + 1e-15:
             return R, t
-        Uq, _, Vtq = np.linalg.svd(R_new)
-        R = Uq @ np.diag([1.0, 1.0, np.sign(np.linalg.det(Uq @ Vtq))]) @ Vtq
+        R = _orthonormalize(R_new)
         t = t_new
         prev_alpha = abs(alpha)
     return R, t

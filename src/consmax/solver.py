@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -258,8 +258,11 @@ def solve_exact(program: CoveringProgram, config: SolverConfig = SolverConfig())
     Best-first on lower bounds; the branch variable is the free variable in
     the most unsatisfied constraints (ties toward the lowest index), with the
     z=1 child queued before the z=0 child. Node bounds come from the residual
-    LP relaxation; incumbents from greedy covers. Returns the best incumbent
-    with ``optimal=False`` when a budget runs out first.
+    LP relaxation; incumbents from greedy covers. A child whose LP does not
+    converge keeps its parent's bound, or its count of fixed outliers when
+    that is larger; a root LP that does not converge gives the bound 0.
+    Returns the best incumbent with ``optimal=False`` when a budget runs out
+    first.
     """
     t0 = time.perf_counter()
     tol = config.lp_tolerance
@@ -275,13 +278,21 @@ def solve_exact(program: CoveringProgram, config: SolverConfig = SolverConfig())
         z[res["free_ids"][picks == 1]] = OUTLIER
         return z
 
+    def lp_bound(res):
+        # a node whose LP stops without an optimum keeps the trivial residual
+        # bound 0, so one bad LP weakens a bound instead of aborting the solve
+        try:
+            return _residual_lp(res, tol)[0]
+        except LpNotConverged:
+            return 0.0
+
     ones0 = np.zeros(p, dtype=bool)
     zeros0 = np.zeros(p, dtype=bool)
     res0 = inst.residual(ones0, zeros0)
     picks0 = _residual_greedy(res0, polish=True)
     incumbent = full_labels(ones0, res0, picks0)
     upper = int(incumbent.sum())
-    root_lb, _ = _residual_lp(res0, tol)
+    root_lb = lp_bound(res0)
     global_lb = min(root_lb, float(upper))
     if config.trace_enabled:
         trace.append(TraceEntry(0, upper, global_lb, 1))
@@ -347,8 +358,7 @@ def solve_exact(program: CoveringProgram, config: SolverConfig = SolverConfig())
                     om[list(c_ones)] = True
                     incumbent = full_labels(om, c_res, picks)
                     upper = cand
-                lp_val, _ = _residual_lp(c_res, tol)
-                child_bound = max(bound, n_fixed_out + lp_val)
+                child_bound = max(bound, n_fixed_out + lp_bound(c_res))
                 if child_bound < upper - 1.0 + tol:
                     heapq.heappush(heap, (child_bound, counter, c_ones, c_zeros))
                     counter += 1

@@ -4,7 +4,6 @@ import pytest
 from consmax.core import (
     ClusterPartition,
     ConsensusGraph,
-    CoveringProgram,
     LabelVector,
     MatchSet,
     aggregate_labels,

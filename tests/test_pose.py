@@ -14,6 +14,8 @@ from consmax.errors import (
 from consmax.pose import (
     CameraIntrinsics,
     Pose,
+    _bearing_jacobian,
+    _bearing_residual,
     p3p_solve,
     pose_agreement,
     project_point,
@@ -127,6 +129,26 @@ class TestP3P:
         same = np.array([[0.0, 0, 1], [0, 0, 1], [0, 1, 1]])
         with pytest.raises(DegenerateConfiguration):
             p3p_solve(pts, same / np.linalg.norm(same, axis=1, keepdims=True))
+
+
+class TestBearingJacobian:
+    def test_matches_per_row_reference(self):
+        # the per-row loop form that the vectorised Jacobian replaced
+        rng = np.random.default_rng(4)
+        eps = np.finfo(np.float64).eps
+        for _ in range(200):
+            world, _, R, t = synth_p3p(rng)
+            _, X, norms = _bearing_residual(R, t, world, np.zeros((3, 3)))
+            U = X / norms[:, None]
+            ref = np.zeros((9, 6))
+            for i in range(3):
+                proj = (np.eye(3) - np.outer(U[i], U[i])) / norms[i]
+                w = X[i] - t
+                skew = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+                ref[3 * i:3 * i + 3, :3] = -proj @ skew
+                ref[3 * i:3 * i + 3, 3:] = proj
+            J = _bearing_jacobian(X, norms, t)
+            np.testing.assert_allclose(J, ref, rtol=0, atol=8 * eps * np.abs(ref).max())
 
 
 class TestPoseAgreement:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from consmax import _kernels
 from consmax.core import CoveringProgram
 from consmax.errors import InfeasibleNode, InvalidArgument, TooLarge
 from consmax.solver import (
@@ -130,19 +131,21 @@ def lp_vertex_oracle(program):
 
 class TestLpAgainstVertexEnumeration:
     def test_small_random_programs(self):
-        rng = np.random.default_rng(11)
-        checked = 0
-        while checked < 25:
-            p = int(rng.integers(2, 6))
-            cons = set()
-            for _ in range(int(rng.integers(1, 6))):
-                size = min(int(rng.choice([1, 2])), p)
-                cons.add(tuple(sorted(rng.choice(p, size, replace=False).tolist())))
-            program = prog(p, *sorted(cons))
-            expected = lp_vertex_oracle(program)
-            got = lp_lower_bound(program)
-            assert got == pytest.approx(expected, abs=1e-7), program.constraints
-            checked += 1
+        # sizes 1-2 as in isometric programs; 4 as in template programs
+        for sizes in ([1, 2], [1, 2, 4]):
+            rng = np.random.default_rng(11)
+            checked = 0
+            while checked < 25:
+                p = int(rng.integers(2, 6))
+                cons = set()
+                for _ in range(int(rng.integers(1, 6))):
+                    size = min(int(rng.choice(sizes)), p)
+                    cons.add(tuple(sorted(rng.choice(p, size, replace=False).tolist())))
+                program = prog(p, *sorted(cons))
+                expected = lp_vertex_oracle(program)
+                got = lp_lower_bound(program)
+                assert got == pytest.approx(expected, abs=1e-7), program.constraints
+                checked += 1
 
 
 class TestSolveExact:
@@ -217,6 +220,31 @@ class TestSolveExact:
         check_feasible(program, res.labels)
         assert res.lower_bound <= res.objective
         assert res.objective >= 6  # incumbent is feasible, optimum is 6
+
+    def test_failed_node_lp_does_not_abort(self, monkeypatch):
+        # every LP after the root stops at its iteration cap: those nodes
+        # keep their parent's bound and the search still certifies
+        real = _kernels.packing_simplex
+        calls = []
+
+        def flaky(n_rows, n_cols, indptr, indices, tol, max_iter):
+            calls.append(n_cols)
+            status, obj, z, it = real(n_rows, n_cols, indptr, indices, tol, max_iter)
+            return (status if len(calls) == 1 else _kernels.LP_ITERATION_LIMIT), obj, z, it
+
+        monkeypatch.setattr(_kernels, "packing_simplex", flaky)
+        program = prog(
+            9,
+            (0, 1), (1, 2), (0, 2),
+            (3, 4), (4, 5), (3, 5),
+            (6, 7), (7, 8), (6, 8),
+        )
+        res = solve_exact(program)
+        assert len(calls) > 1
+        assert res.optimal
+        assert res.objective == 6
+        assert res.lower_bound == 6
+        check_feasible(program, res.labels)
 
 
 class TestSolveRelaxed:
