@@ -4,6 +4,25 @@ Each kernel has one numpy implementation. Callers look the kernels up as
 ``_kernels.dijkstra_table``, ``_kernels.packing_simplex`` and
 ``_kernels.greedy_pick`` at call time, so a profiler can wrap them in place.
 
+Exactness
+---------
+The kernels are written for speed, but their outputs are bit-identical to
+the plain loops kept as references in ``tests/test_kernels.py``, because
+rounding decides which geodesic ties at the isometric threshold become
+constraints, and the simplex's pivot choices:
+
+* ``dijkstra_table`` runs on Python lists and floats (float64), with the
+  same additions, the same strict ``nd < dist[v]`` test and the same heap
+  order ``(distance, vertex)``, so every path sum is formed alike.
+* ``greedy_pick`` updates the counts once per pick instead of once per
+  newly covered constraint; the counts, and so the picks, are the same.
+* ``packing_simplex`` prices columns from a padded gather instead of
+  ``np.add.reduceat``. On a segment ``a0, a1, ..., a(m-1)`` of at most 8
+  elements, ``reduceat`` returns ``a0 + (((a1 + a2) + a3) + ...)`` (the
+  first element, plus numpy's short pairwise sum of the rest, which is a
+  plain left fold below 8 elements); the gather adds in that order. A
+  program with a longer constraint is priced with ``reduceat`` itself.
+
 LP formulation
 --------------
 The covering LP ``min sum(z)  s.t.  sum(z[i] for i in C_l) >= 1, z >= 0`` is
@@ -39,23 +58,32 @@ _BLAND_AFTER = 2000  # consecutive degenerate pivots before switching rules
 # ---------------------------------------------------------------------------
 
 def dijkstra_table(indptr, indices, weights, sources, n):
+    """Shortest-path distances from each source over a CSR graph with
+    non-negative weights; ``inf`` where a vertex is unreachable."""
     out = np.full((len(sources), n), np.inf)
+    ptr = np.asarray(indptr).tolist()
+    nbr = np.asarray(indices).tolist()
+    wts = np.asarray(weights, dtype=np.float64).tolist()
+    adj = [list(zip(nbr[ptr[u]:ptr[u + 1]], wts[ptr[u]:ptr[u + 1]])) for u in range(n)]
+    inf = float("inf")
+    heappush, heappop = heapq.heappush, heapq.heappop
     for si, src in enumerate(sources):
-        dist = out[si]
+        src = int(src)
+        dist = [inf] * n
         dist[src] = 0.0
-        done = np.zeros(n, dtype=bool)
-        heap = [(0.0, int(src))]
+        done = [False] * n
+        heap = [(0.0, src)]
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = heappop(heap)
             if done[u]:
                 continue
             done[u] = True
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                nd = d + weights[k]
+            for v, w in adj[u]:
+                nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd
-                    heapq.heappush(heap, (nd, int(v)))
+                    heappush(heap, (nd, v))
+        out[si] = dist
     return out
 
 
@@ -76,6 +104,40 @@ def _rebuild_basis(basis, n_rows, n_cols, col_indptr, col_indices):
     return binv, xb
 
 
+def _pricing(n_rows, n_cols, col_indptr, col_indices):
+    """Return ``col_sums(pi)``: per column, the sum of ``pi`` over its rows,
+    bit-identical to ``np.add.reduceat(pi[col_indices], col_indptr[:-1])``
+    up to the sign of a zero sum, which ``1 - col_sums`` erases.
+
+    Every column must be non-empty. When no column has more than 8 rows, the
+    rows are gathered into a ``(kmax, n_cols)`` index matrix padded with
+    ``n_rows``, which points at an extra ``0.0`` slot of ``pi``; adding that
+    slot changes no sum beyond the sign of a zero.
+    """
+    lens = np.diff(col_indptr)
+    kmax = int(lens.max())
+    if kmax > 8:
+        seg_starts = col_indptr[:-1]
+        return lambda pi: np.add.reduceat(pi[col_indices], seg_starts)
+    pad = np.full((kmax, n_cols), n_rows, dtype=np.int64)
+    for r in range(kmax):
+        has = lens > r
+        pad[r, has] = col_indices[col_indptr[:-1][has] + r]
+    first, *later = pad
+    pi_ext = np.zeros(n_rows + 1)
+
+    def col_sums(pi):
+        pi_ext[:n_rows] = pi
+        if not later:
+            return pi_ext[first]
+        rest = pi_ext[later[0]]
+        for idx in later[1:]:
+            rest += pi_ext[idx]
+        return pi_ext[first] + rest
+
+    return col_sums
+
+
 def packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
     """Vectorized revised simplex. Returns (status, objective, z, iterations)."""
     if n_cols == 0:
@@ -84,15 +146,14 @@ def packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
     cb = np.zeros(n_rows)
     binv = np.eye(n_rows)
     xb = np.ones(n_rows)
-    seg_starts = col_indptr[:-1]
+    price = _pricing(n_rows, n_cols, col_indptr, col_indices)
     degenerate_run = 0
     bland = False
     it = 0
     pi = np.zeros(n_rows)
     while it < max_iter:
         pi = cb @ binv
-        col_sums = np.add.reduceat(pi[col_indices], seg_starts) if len(col_indices) else np.zeros(n_cols)
-        d = np.concatenate((1.0 - col_sums, -pi))
+        d = np.concatenate((1.0 - price(pi), -pi))
         if bland:
             pos = np.nonzero(d > tol)[0]
             if len(pos) == 0:
@@ -157,9 +218,14 @@ def greedy_pick(num_vars, cons_indptr, cons_indices, var_indptr, var_cons):
     while remaining > 0:
         v = int(np.argmax(counts))
         picked[v] = 1
-        for l in var_cons[var_indptr[v]:var_indptr[v + 1]]:
-            if unsat[l]:
-                unsat[l] = False
-                remaining -= 1
-                counts[cons_indices[cons_indptr[l]:cons_indptr[l + 1]]] -= 1
+        ls = var_cons[var_indptr[v]:var_indptr[v + 1]]
+        ls = ls[unsat[ls]]
+        unsat[ls] = False
+        remaining -= len(ls)
+        # members of the newly covered constraints, back to back
+        starts = cons_indptr[ls]
+        lens = cons_indptr[ls + 1] - starts
+        shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        members = cons_indices[shift + np.arange(len(shift))]
+        np.subtract.at(counts, members, 1)
     return picked

@@ -65,9 +65,11 @@ class IsometryConfig:
         return 1 if p < SMALL_PROBLEM_CLUSTER_THRESHOLD else 5
 
 
-def isometry_agreement(g_source: float, g_target: float, eps_rel: float, eps_abs: float) -> int:
-    """1 when |g_source - g_target| <= max(eps_rel * g_source, eps_abs)."""
-    return int(abs(g_source - g_target) <= max(eps_rel * g_source, eps_abs))
+def isometry_agreement(g_source, g_target, eps_rel: float, eps_abs: float):
+    """1 where |g_source - g_target| <= max(eps_rel * g_source, eps_abs), else 0.
+
+    Takes scalars or arrays of geodesic distances; returns ``uint8``."""
+    return (np.abs(g_source - g_target) <= np.maximum(eps_rel * g_source, eps_abs)).astype(np.uint8)
 
 
 def _num_points(shape: ShapeLike) -> int:
@@ -112,11 +114,9 @@ def shape_registration_detailed(
     tgt_table = geodesic_distances(target, tgt_unique)
     src_row = np.searchsorted(src_unique, src_ids)
     tgt_row = np.searchsorted(tgt_unique, tgt_ids)
-    gs_full = src_table.distances[np.ix_(src_row, src_row)]
-    gt_full = tgt_table.distances[np.ix_(tgt_row, tgt_row)]
 
-    finite_src = src_table.distances[np.isfinite(src_table.distances)]
-    diameter = float(finite_src.max()) if finite_src.size else 0.0
+    src_d = src_table.distances
+    diameter = float(np.max(src_d, where=np.isfinite(src_d), initial=0.0))
     eps_abs = config.eps_abs_frac * diameter
 
     src_coords = matches.matched_source
@@ -127,8 +127,8 @@ def shape_registration_detailed(
 
     def label_cluster(c, idx):
         k = len(idx)
-        gs = gs_full[np.ix_(idx, idx)]
-        gt = gt_full[np.ix_(idx, idx)]
+        gs = src_table.distances[np.ix_(src_row[idx], src_row[idx])]
+        gt = tgt_table.distances[np.ix_(tgt_row[idx], tgt_row[idx])]
         iu, ju = np.triu_indices(k, 1)
         if k >= 2:
             src_ok = np.isfinite(gs[iu, ju])
@@ -140,11 +140,7 @@ def shape_registration_detailed(
             valid = src_ok & tgt_ok
         else:
             valid = np.zeros(0, dtype=bool)
-        gsv = gs[iu, ju][valid]
-        gtv = gt[iu, ju][valid]
-        theta = (
-            np.abs(gsv - gtv) <= np.maximum(config.eps_rel * gsv, eps_abs)
-        ).astype(np.uint8)
+        theta = isometry_agreement(gs[iu, ju][valid], gt[iu, ju][valid], config.eps_rel, eps_abs)
         graph = ConsensusGraph(
             vertices=np.arange(k, dtype=np.int64).reshape(-1, 1),
             edges=np.column_stack([iu[valid], ju[valid]]),

@@ -130,7 +130,8 @@ def geodesic_distances(mesh_or_graph, query_ids) -> GeodesicTable:
         raise InvalidArgument("query id out of range")
     table = _kernels.dijkstra_table(indptr, indices, weights, ids, n)
     sub = table[:, ids]
-    sub = np.minimum(sub, sub.T)  # paths are symmetric; pick one rounding
+    del table
+    np.minimum(sub, sub.T, out=sub)  # paths are symmetric; pick one rounding
     np.fill_diagonal(sub, 0.0)
     return GeodesicTable(point_ids=ids, distances=sub)
 

@@ -101,10 +101,18 @@ class Pose:
 
 def rotation_geodesic_distance(ra, rb) -> float:
     """Angle (radians, in [0, pi]) of the relative rotation ``ra.T @ rb``."""
-    ra = _check_rotation(getattr(ra, "rotation", ra))
-    rb = _check_rotation(getattr(rb, "rotation", rb))
+    ra = _valid_rotation(ra)
+    rb = _valid_rotation(rb)
     c = (np.trace(ra.T @ rb) - 1.0) / 2.0
     return float(math.acos(min(1.0, max(-1.0, c))))
+
+
+def _valid_rotation(x) -> np.ndarray:
+    """The checked rotation of a Pose (checked when the Pose was made) or of
+    a matrix or object with a ``rotation`` attribute (checked here)."""
+    if isinstance(x, Pose):
+        return x.rotation
+    return _check_rotation(getattr(x, "rotation", x))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -138,6 +146,20 @@ def project_point(K: CameraIntrinsics, pose: Pose, point) -> np.ndarray:
     if xc[2] <= 1e-12:
         raise BehindCamera(f"depth {xc[2]:.3g} is not positive")
     return np.array([K.fx * xc[0] / xc[2] + K.cx, K.fy * xc[1] / xc[2] + K.cy])
+
+
+def _polymul(a, b) -> np.ndarray:
+    """``np.polymul(a, b)`` for 1-d float64 coefficient arrays, without the
+    two ``poly1d`` objects it builds. Leading zeros are dropped first, as
+    ``poly1d`` drops them, so the result is the same array."""
+    return np.convolve(_drop_leading_zeros(a), _drop_leading_zeros(b))
+
+
+def _drop_leading_zeros(c: np.ndarray) -> np.ndarray:
+    for k, ck in enumerate(c.tolist()):
+        if ck != 0.0:
+            return c[k:]
+    return np.zeros(1)
 
 
 def _horner(coeffs, x: float) -> float:
@@ -365,8 +387,8 @@ def p3p_solve(points3d, bearings) -> list[Pose]:
     # quadratic in u from the c-equation: u^2 - 2 cos(gamma) u + Q(v) = 0
     Q = np.array([-(c2 / b2), 2.0 * (c2 / b2) * cos_beta, 1.0 - (c2 / b2)])
     quartic = np.polyadd(
-        np.polysub(np.polymul(N, N), 2.0 * cos_gamma * np.polymul(N, D)),
-        np.polymul(Q, np.polymul(D, D)),
+        np.polysub(_polymul(N, N), 2.0 * cos_gamma * _polymul(N, D)),
+        _polymul(Q, _polymul(D, D)),
     )
     lead = np.max(np.abs(quartic))
     if lead <= 0.0 or not np.isfinite(lead):

@@ -1,0 +1,230 @@
+"""The fast kernels against the plain loops they replace.
+
+Each ``ref_*`` function below is the straightforward loop form of a kernel in
+``consmax._kernels``. The kernels promise bit-identical outputs, so every
+comparison here is on the raw bytes, not within a tolerance.
+"""
+
+import heapq
+
+import numpy as np
+import pytest
+
+from consmax import _kernels
+from consmax.core import CoveringProgram
+from consmax.mesh import TriMesh, knn_graph
+from consmax.solver import SolverConfig, _lp_max_iter
+from test_mesh import jittered_grid
+
+
+def ref_dijkstra_table(indptr, indices, weights, sources, n):
+    out = np.full((len(sources), n), np.inf)
+    for si, src in enumerate(sources):
+        dist = out[si]
+        dist[src] = 0.0
+        done = np.zeros(n, dtype=bool)
+        heap = [(0.0, int(src))]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            for k in range(indptr[u], indptr[u + 1]):
+                v = indices[k]
+                nd = d + weights[k]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, int(v)))
+    return out
+
+
+def ref_greedy_pick(num_vars, cons_indptr, cons_indices, var_indptr, var_cons):
+    n_cons = len(cons_indptr) - 1
+    picked = np.zeros(num_vars, dtype=np.int8)
+    if n_cons == 0:
+        return picked
+    counts = np.bincount(cons_indices, minlength=num_vars)
+    unsat = np.ones(n_cons, dtype=bool)
+    remaining = n_cons
+    while remaining > 0:
+        v = int(np.argmax(counts))
+        picked[v] = 1
+        for l in var_cons[var_indptr[v]:var_indptr[v + 1]]:
+            if unsat[l]:
+                unsat[l] = False
+                remaining -= 1
+                counts[cons_indices[cons_indptr[l]:cons_indptr[l + 1]]] -= 1
+    return picked
+
+
+def ref_packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
+    """The revised simplex, pricing every pivot with ``np.add.reduceat``."""
+    if n_cols == 0:
+        return _kernels.LP_OPTIMAL, 0.0, np.zeros(n_rows), 0
+    basis = np.arange(n_cols, n_cols + n_rows, dtype=np.int64)
+    cb = np.zeros(n_rows)
+    binv = np.eye(n_rows)
+    xb = np.ones(n_rows)
+    seg_starts = col_indptr[:-1]
+    degenerate_run = 0
+    bland = False
+    it = 0
+    pi = np.zeros(n_rows)
+    while it < max_iter:
+        pi = cb @ binv
+        col_sums = np.add.reduceat(pi[col_indices], seg_starts) if len(col_indices) else np.zeros(n_cols)
+        d = np.concatenate((1.0 - col_sums, -pi))
+        if bland:
+            pos = np.nonzero(d > tol)[0]
+            if len(pos) == 0:
+                return _kernels.LP_OPTIMAL, float(cb @ xb), _kernels._primal_from_pi(pi), it
+            j = int(pos[0])
+        else:
+            j = int(np.argmax(d))
+            if d[j] <= tol:
+                return _kernels.LP_OPTIMAL, float(cb @ xb), _kernels._primal_from_pi(pi), it
+        if j < n_cols:
+            rows = col_indices[col_indptr[j]:col_indptr[j + 1]]
+            u = binv[:, rows].sum(axis=1)
+            enter_cost = 1.0
+        else:
+            u = binv[:, j - n_cols].copy()
+            enter_cost = 0.0
+        ratios = np.where(u > 1e-10, xb / np.where(u > 1e-10, u, 1.0), np.inf)
+        k = int(np.argmin(ratios))
+        theta = ratios[k]
+        if not np.isfinite(theta):
+            return _kernels.LP_UNBOUNDED, float(cb @ xb), _kernels._primal_from_pi(pi), it
+        ties = np.nonzero(ratios <= theta + 1e-12)[0]
+        if len(ties) > 1:
+            k = int(ties[np.argmin(basis[ties])])
+            theta = ratios[k]
+        row = binv[k] / u[k]
+        binv -= np.outer(u, row)
+        binv[k] = row
+        xb -= theta * u
+        xb[k] = theta
+        np.clip(xb, 0.0, None, out=xb)
+        basis[k] = j
+        cb[k] = enter_cost
+        degenerate_run = degenerate_run + 1 if theta <= 1e-12 else 0
+        if degenerate_run > _kernels._BLAND_AFTER:
+            bland = True
+        it += 1
+        if it % _kernels._REFACTOR_EVERY == 0:
+            binv, xb = _kernels._rebuild_basis(basis, n_rows, n_cols, col_indptr, col_indices)
+    return _kernels.LP_ITERATION_LIMIT, float(cb @ xb), _kernels._primal_from_pi(pi), it
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def two_component_graph():
+    """Two jittered grids side by side with no edge between them."""
+    a, b = jittered_grid(30, seed=1), jittered_grid(20, seed=2)
+    tris = np.vstack([a.triangles, b.triangles + a.num_vertices])
+    mesh = TriMesh(np.vstack([a.vertices, b.vertices + [50.0, 0.0, 0.0]]), tris)
+    return mesh.edge_graph, mesh.num_vertices
+
+
+def random_program(rng, sizes, p, n_cons):
+    cons = set()
+    while len(cons) < n_cons:
+        size = min(int(rng.choice(sizes)), p)
+        cons.add(tuple(sorted(rng.choice(p, size, replace=False).tolist())))
+    return CoveringProgram(p, tuple(sorted(cons)))
+
+
+class TestDijkstra:
+    @pytest.mark.parametrize("n,seed", [(49, 0), (120, 1), (300, 2)])
+    def test_jittered_grid(self, n, seed):
+        mesh = jittered_grid(n, seed)
+        indptr, indices, weights = mesh.edge_graph
+        sources = np.random.default_rng(seed).choice(n, size=min(n, 40), replace=False)
+        assert_same_bits(
+            _kernels.dijkstra_table(indptr, indices, weights, sources, n),
+            ref_dijkstra_table(indptr, indices, weights, sources, n),
+        )
+
+    def test_knn_graph(self):
+        pts = np.random.default_rng(3).uniform(0.0, 10.0, size=(150, 3))
+        indptr, indices, weights = knn_graph(pts)
+        sources = np.arange(0, 150, 3)
+        assert_same_bits(
+            _kernels.dijkstra_table(indptr, indices, weights, sources, 150),
+            ref_dijkstra_table(indptr, indices, weights, sources, 150),
+        )
+
+    def test_two_components(self):
+        (indptr, indices, weights), n = two_component_graph()
+        sources = np.array([0, 7, 29, 30, 49])
+        got = _kernels.dijkstra_table(indptr, indices, weights, sources, n)
+        assert np.isinf(got).any()
+        assert_same_bits(got, ref_dijkstra_table(indptr, indices, weights, sources, n))
+
+
+class TestGreedyPick:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_identical_picks(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(6, 60))
+        program = random_program(rng, range(1, 7), p, int(rng.integers(1, 4 * p)))
+        cons_indptr, cons_indices = program.cons_csr
+        var_indptr, var_cons = program.var_csr
+        args = (p, cons_indptr, cons_indices, var_indptr, var_cons)
+        assert_same_bits(_kernels.greedy_pick(*args), ref_greedy_pick(*args))
+
+
+class TestPricing:
+    @pytest.mark.parametrize("max_len", [1, 2, 4, 8, 12])
+    def test_matches_reduceat(self, max_len):
+        # up to 8 rows per column the gather runs; a longer column routes the
+        # whole program through reduceat, whose order changes from 9 rows on
+        rng = np.random.default_rng(max_len)
+        n_rows, n_cols = 40, 3000
+        lens = rng.integers(1, max_len + 1, size=n_cols)
+        indptr = np.concatenate([[0], np.cumsum(lens)])
+        indices = np.concatenate([rng.choice(n_rows, k, replace=False) for k in lens])
+        price = _kernels._pricing(n_rows, n_cols, indptr, indices)
+        for _ in range(5):
+            pi = rng.standard_normal(n_rows) * 10.0 ** rng.uniform(-6, 3, n_rows)
+            pi[rng.random(n_rows) < 0.2] = 0.0
+            want = np.add.reduceat(pi[indices], indptr[:-1])
+            got = price(pi)
+            assert np.array_equal(got, want)
+            assert_same_bits(1.0 - got, 1.0 - want)
+
+
+class TestPackingSimplex:
+    @pytest.mark.parametrize(
+        "max_size,seed", [(2, s) for s in range(5)] + [(4, s) for s in range(5)] + [(8, 0)]
+    )
+    def test_identical_solves(self, max_size, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(10, 40))
+        program = random_program(rng, range(1, max_size + 1), p, int(rng.integers(p, 5 * p)))
+        self.check(program)
+
+    def test_long_constraint_takes_reduceat_path(self):
+        rng = np.random.default_rng(7)
+        program = random_program(rng, [2, 3], 30, 60)
+        long = tuple(range(0, 30, 3))
+        assert len(long) == 10
+        self.check(CoveringProgram(30, program.constraints + (long,)))
+
+    @staticmethod
+    def check(program):
+        indptr, indices = program.cons_csr
+        args = (
+            program.num_vars, program.num_constraints, indptr, indices,
+            SolverConfig().lp_tolerance, _lp_max_iter(program.num_vars, program.num_constraints),
+        )
+        status, obj, z, its = _kernels.packing_simplex(*args)
+        r_status, r_obj, r_z, r_its = ref_packing_simplex(*args)
+        assert r_its > 0
+        assert (status, its) == (r_status, r_its)
+        assert obj.hex() == r_obj.hex()
+        assert_same_bits(z, r_z)

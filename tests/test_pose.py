@@ -16,6 +16,7 @@ from consmax.pose import (
     Pose,
     _bearing_jacobian,
     _bearing_residual,
+    _polymul,
     p3p_solve,
     pose_agreement,
     project_point,
@@ -84,6 +85,27 @@ class TestRotationDistance:
     def test_invalid_rotation_rejected(self):
         with pytest.raises(InvalidRotation):
             rotation_geodesic_distance(np.eye(3), np.ones((3, 3)))
+
+    def test_poses_and_matrices_agree(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            a, b = random_rotation(rng), random_rotation(rng)
+            pa, pb = Pose(a, np.zeros(3)), Pose(b, np.ones(3))
+            assert rotation_geodesic_distance(pa, pb) == rotation_geodesic_distance(a, b)
+
+
+class TestPolymul:
+    def test_matches_numpy_polymul(self):
+        # leading zeros (of either sign) are dropped, as np.polymul drops them
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            a = rng.standard_normal(int(rng.integers(1, 5)))
+            b = rng.standard_normal(int(rng.integers(1, 5)))
+            for c in (a, b):
+                k = int(rng.integers(0, len(c) + 1))
+                c[:k] = rng.choice([0.0, -0.0], size=k)
+            got, want = _polymul(a, b), np.polymul(a, b)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestP3P:
