@@ -16,6 +16,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -169,20 +170,13 @@ class ConsensusGraph:
         return int(self.edges.shape[0])
 
 
-def _csr_from_lists(lists, num_items):
-    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-    for i, row in enumerate(lists):
-        indptr[i + 1] = indptr[i] + len(row)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for i, row in enumerate(lists):
-        indices[indptr[i]:indptr[i + 1]] = row
-    return indptr, indices
-
-
 @dataclass(frozen=True)
 class CoveringProgram:
     """The 0-1 program ``min sum(z)`` subject to ``sum(z[i] for i in C) >= 1``
-    for every constraint ``C`` (one per violated edge)."""
+    for every constraint ``C`` (one per violated edge).
+
+    ``cons_csr`` is ``(indptr, indices)``, the constraint -> variable
+    incidence; it is built with the checks."""
 
     num_vars: int
     constraints: tuple
@@ -190,24 +184,25 @@ class CoveringProgram:
     def __post_init__(self):
         if self.num_vars < 0:
             raise InvalidArgument("num_vars must be non-negative")
-        cons = tuple(tuple(int(i) for i in c) for c in self.constraints)
-        for c in cons:
-            if len(c) == 0:
-                raise InvalidArgument("empty constraint")
-            if len(set(c)) != len(c):
-                raise InvalidArgument("constraint has duplicate indices")
-            if min(c) < 0 or max(c) >= self.num_vars:
-                raise InvalidArgument("constraint index out of range")
+        cons = tuple(tuple(map(int, c)) for c in self.constraints)
+        indptr = np.zeros(len(cons) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, cons), dtype=np.int64, count=len(cons)), out=indptr[1:])
+        if (indptr[1:] == indptr[:-1]).any():
+            raise InvalidArgument("empty constraint")
+        if any(len(set(c)) != len(c) for c in cons):
+            raise InvalidArgument("constraint has duplicate indices")
+        try:
+            indices = np.fromiter(chain.from_iterable(cons), dtype=np.int64, count=int(indptr[-1]))
+        except OverflowError:
+            raise InvalidArgument("constraint index out of range") from None
+        if indices.size and (indices.min() < 0 or indices.max() >= self.num_vars):
+            raise InvalidArgument("constraint index out of range")
         object.__setattr__(self, "constraints", cons)
+        object.__setattr__(self, "cons_csr", (indptr, indices))
 
     @property
     def num_constraints(self) -> int:
         return len(self.constraints)
-
-    @cached_property
-    def cons_csr(self):
-        """(indptr, indices): constraint -> variable incidence."""
-        return _csr_from_lists(self.constraints, self.num_vars)
 
     @cached_property
     def var_csr(self):
@@ -258,8 +253,18 @@ def build_covering_program(graph: ConsensusGraph) -> CoveringProgram:
     The constraint is the deduplicated union of the edge's two vertex index
     subsets; agreeing edges (theta=1) produce nothing, and duplicate
     constraints are removed. An empty graph yields an empty program.
+    Constraints are sorted as tuples. For s=1 they come from one sorted
+    ``np.unique`` over the ``(lo, hi)`` match pairs of the violated edges;
+    a pair of equal matches is a one-variable constraint.
     """
     num_vars = int(graph.vertices.max()) + 1 if graph.vertices.size else 0
+    if graph.s == 1:
+        violated = graph.edges[graph.theta == 0]
+        u, w = graph.vertices[violated[:, 0], 0], graph.vertices[violated[:, 1], 0]
+        # (x, x) sorts before (x, y > x), as the singleton (x,) does before (x, y)
+        lo, hi = np.divmod(np.unique(np.minimum(u, w) * num_vars + np.maximum(u, w)), num_vars)
+        constraints = tuple((a,) if a == b else (a, b) for a, b in zip(lo.tolist(), hi.tolist()))
+        return CoveringProgram(num_vars=num_vars, constraints=constraints)
     seen = set()
     for eidx in np.nonzero(graph.theta == 0)[0]:
         a, b = graph.edges[eidx]

@@ -1,10 +1,21 @@
 """Exact and relaxed solvers for the 0-1 covering program.
 
-``solve_exact`` runs Branch and Bound: best-first search on LP lower bounds,
-greedy-cover incumbents, branching on the variable hitting the most
-unsatisfied constraints, and a unit-gap optimality certificate (the objective
-is integral, so ``UB - LB < 1 - tol`` proves optimality). ``solve_relaxed``
-solves the LP relaxation once and rounds at 0.5.
+``solve_exact`` takes one of two routes, chosen by the program alone:
+
+* Every constraint has at most two variables (the isometric path, s=1): a
+  size-1 constraint fixes its variable to outlier, and the size-2
+  constraints are the edges of a conflict graph, so the optimum is the
+  number of variables in conflicts minus the maximum clique of the
+  complement graph. A colouring-bound clique search (MCQ: greedy sequential
+  colouring on bitset rows, Tomita & Kameda 2007) finds that clique; Python
+  ints are the bitsets.
+* Otherwise: Branch and Bound with best-first search on LP lower bounds,
+  greedy-cover incumbents, branching on the variable hitting the most
+  unsatisfied constraints, and a unit-gap optimality certificate (the
+  objective is integral, so ``UB - LB < 1 - tol`` proves optimality).
+
+``solve_relaxed`` solves the LP relaxation once and rounds at 0.5, on every
+program.
 
 The LP sub-solver lives in :mod:`consmax._kernels` (revised simplex on the
 packing dual); this module owns search, bookkeeping and the instance/trace
@@ -253,7 +264,224 @@ def _trivial_result(p: int, trace_enabled: bool, t0: float) -> SolverResult:
 
 
 def solve_exact(program: CoveringProgram, config: SolverConfig = SolverConfig()) -> SolverResult:
-    """Globally optimal solution of the covering program by Branch and Bound.
+    """Globally optimal solution of the covering program.
+
+    A program whose constraints all have at most two variables goes to the
+    maximum-clique search, which returns the lexicographically smallest
+    optimal label vector (the rule ``brute_force_oracle`` documents); every
+    other program goes to LP-based Branch and Bound. Both count search nodes
+    against ``node_budget`` first, with ``time_budget`` only as a guard, and
+    return their best incumbent with a valid lower bound and
+    ``optimal=False`` when a budget runs out first. ``optimal=True`` comes
+    with ``lower_bound == objective``.
+    """
+    if program.num_constraints == 0:
+        return _trivial_result(program.num_vars, config.trace_enabled, time.perf_counter())
+    if max(map(len, program.constraints)) <= 2:
+        return _solve_clique(program, config)
+    return _solve_lp_bnb(program, config)
+
+
+def _colour_classes(adj, cand: int, kmin: int):
+    """Greedy sequential colouring of the vertex bitset ``cand``, lowest bit
+    first: each colour class takes the vertices adjacent to no earlier
+    member. Returns the vertices of colour ``>= kmin`` and their colours,
+    colours ascending."""
+    order, cols = [], []
+    k = 0
+    while cand:
+        k += 1
+        q = cand
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
+            cand ^= low
+            q = (q ^ low) & ~adj[v]
+            if k >= kmin:
+                order.append(v)
+                cols.append(k)
+    return order, cols
+
+
+def _max_clique(adj, cand: int, floor: int, target: int, node):
+    """MCQ search for the largest clique inside ``cand`` with more than
+    ``floor`` vertices, stopping once one reaches ``target``.
+
+    Each node colours its candidates and branches on them from the highest
+    colour down; a branch whose clique size plus colour cannot beat the
+    best is pruned. ``node(frames, best_size)`` is called before each child
+    node is expanded and returns False to stop the search. Returns
+    ``(clique or None, finished)``; the clique is a list of vertices.
+    """
+    best, best_size = None, floor
+    order, cols = _colour_classes(adj, cand, floor + 1)
+    # frame: [candidates, vertices to branch on, their colours, next position]
+    frames = [[cand, order, cols, len(order) - 1]]
+    clique = []
+    while frames:
+        f = frames[-1]
+        i = f[3]
+        if i < 0 or len(clique) + f[2][i] <= best_size:
+            frames.pop()
+            if frames:
+                clique.pop()
+            continue
+        v = f[1][i]
+        f[3] = i - 1
+        sub = f[0] & adj[v]
+        f[0] ^= 1 << v
+        clique.append(v)
+        if sub:
+            if not node(frames, best_size):
+                return best, False
+            order, cols = _colour_classes(adj, sub, best_size - len(clique) + 1)
+            frames.append([sub, order, cols, len(order) - 1])
+            continue
+        if len(clique) > best_size:
+            best, best_size = list(clique), len(clique)
+            if best_size >= target:
+                return best, True
+        clique.pop()
+    return best, True
+
+
+def _lexicographic_clique(adj, by_index, witness: int, node) -> int:
+    """The maximum clique that keeps the earliest variables inlier.
+
+    ``by_index`` lists the vertices in variable order and ``witness`` is the
+    bitset of one maximum clique. Each vertex in turn stays in the clique
+    when some maximum clique holds it and every vertex kept so far. A
+    vertex of the current witness needs no query; any other is checked with
+    a colouring-bounded decision search, whose clique becomes the new
+    witness. Stops once the kept vertices form a maximum clique, or when
+    ``node`` stops a search; the witness is returned either way.
+    """
+    omega = witness.bit_count()
+    kept, n_kept, cand = 0, 0, (1 << len(by_index)) - 1
+    for v in by_index:
+        if n_kept == omega:
+            break
+        bit = 1 << v
+        if not cand & bit:
+            continue
+        if not witness & bit:
+            need = omega - n_kept - 1
+            sub = cand & adj[v]
+            if need == 0:
+                found = []
+            elif sub.bit_count() < need:
+                found = None
+            else:
+                found, finished = _max_clique(adj, sub, need - 1, need, node)
+                if not finished:
+                    break
+            if found is None:
+                cand ^= bit
+                continue
+            witness = kept | bit | sum(1 << u for u in found)
+        kept |= bit
+        n_kept += 1
+        cand &= adj[v]
+    return witness
+
+
+def _compatibility_graph(program: CoveringProgram):
+    """Fixed outliers and the compatibility graph of a program of size-1 and
+    size-2 constraints.
+
+    Returns ``(z, ids, adj)``: ``z`` marks the size-1 variables as outlier;
+    ``ids[k]`` is the variable at bit ``k``, over the variables left in some
+    conflict with no fixed outlier, ordered by descending compatible degree
+    (ties toward the lowest index) as MCQ orders its vertices; ``adj[k]`` is
+    the bitset of the vertices compatible with vertex ``k``.
+    """
+    indptr, indices = program.cons_csr
+    starts, sizes = indptr[:-1], np.diff(indptr)
+    z = np.zeros(program.num_vars, dtype=np.int8)
+    z[indices[starts[sizes == 1]]] = OUTLIER
+    first = starts[sizes == 2]
+    a, b = indices[first], indices[first + 1]
+    live = (z[a] == INLIER) & (z[b] == INLIER)
+    a, b = a[live], b[live]
+    core = np.unique(np.concatenate([a, b]))
+    ia, ib = np.searchsorted(core, a), np.searchsorted(core, b)
+    compat = np.ones((len(core), len(core)), dtype=bool)
+    compat[ia, ib] = compat[ib, ia] = False
+    np.fill_diagonal(compat, False)
+    order = np.argsort(-compat.sum(axis=1), kind="stable")
+    rows = np.packbits(compat[np.ix_(order, order)], axis=1, bitorder="little")
+    return z, core[order], [int.from_bytes(r.tobytes(), "little") for r in rows]
+
+
+def _solve_clique(program: CoveringProgram, config: SolverConfig) -> SolverResult:
+    """Exact solve of a program whose constraints have one or two variables.
+
+    The optimum is ``fixed + m - omega``: ``fixed`` size-1 variables, ``m``
+    variables left in conflicts, and ``omega`` the maximum clique of their
+    compatibility graph. The root row bounds ``omega`` by the colour count
+    and starts from a greedy clique; ``_max_clique`` closes the gap, and
+    ``_lexicographic_clique`` then picks the lexicographically smallest
+    optimal labels. Every node, tie queries included, counts against the
+    budgets; a stop in the tie pass keeps its witness, which is optimal.
+    """
+    t0 = time.perf_counter()
+    z, ids, adj = _compatibility_graph(program)
+    m = len(ids)
+    base = int(z.sum()) + m
+    full = (1 << m) - 1
+    order, cols = _colour_classes(adj, full, 1)
+    witness, cand = [], full
+    for v in reversed(order):  # greedy clique, highest colour first
+        if cand >> v & 1:
+            witness.append(v)
+            cand &= adj[v]
+    upper = base - len(witness)
+    lower = base - (cols[-1] if cols else 0)
+    trace = [TraceEntry(0, upper, float(lower), 1)] if config.trace_enabled else []
+    nodes = 1
+    proving = True
+    left = 0
+
+    def node(frames, best_size):
+        nonlocal nodes, upper, lower, left
+        if proving:
+            root = frames[0]
+            upper = base - best_size
+            lower = base - max(best_size, root[2][root[3] + 1])
+        if nodes >= config.node_budget or time.perf_counter() - t0 > config.time_budget:
+            left = 1 + sum(f[3] + 1 for f in frames)
+            return False
+        nodes += 1
+        if config.trace_enabled:
+            trace.append(TraceEntry(nodes - 1, upper, float(lower), sum(f[3] + 1 for f in frames)))
+        return True
+
+    optimal = True
+    if upper > lower:
+        found, optimal = _max_clique(adj, full, len(witness), base - lower, node)
+        witness = found or witness
+        upper = base - len(witness)
+    inliers = sum(1 << v for v in witness)
+    if optimal:
+        lower = upper
+        proving = False
+        inliers = _lexicographic_clique(adj, np.argsort(ids).tolist(), inliers, node)
+    in_clique = np.array([inliers >> k & 1 for k in range(m)], dtype=bool)
+    z[ids[~in_clique]] = OUTLIER
+    if config.trace_enabled:
+        trace.append(TraceEntry(trace[-1].iteration + 1, upper, float(lower), 0 if optimal else left))
+    return SolverResult(
+        labels=LabelVector(z),
+        objective=upper,
+        lower_bound=float(lower),
+        optimal=optimal,
+        trace=trace,
+        wall_time=time.perf_counter() - t0,
+    )
+
+
+def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig()) -> SolverResult:
+    """Branch and Bound on LP lower bounds, for programs of any constraint size.
 
     Best-first on lower bounds; the branch variable is the free variable in
     the most unsatisfied constraints (ties toward the lowest index), with the
@@ -267,8 +495,6 @@ def solve_exact(program: CoveringProgram, config: SolverConfig = SolverConfig())
     t0 = time.perf_counter()
     tol = config.lp_tolerance
     p = program.num_vars
-    if program.num_constraints == 0:
-        return _trivial_result(p, config.trace_enabled, t0)
     inst = _Instance(program)
     trace: list[TraceEntry] = []
 

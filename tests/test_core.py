@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from consmax.core import (
     ClusterPartition,
     ConsensusGraph,
+    CoveringProgram,
     LabelVector,
     MatchSet,
     aggregate_labels,
@@ -75,6 +78,48 @@ class TestBuildCoveringProgram:
                 if th == 0
             }
             assert set(prog.constraints) == unions
+
+
+def ref_build_covering_program(graph):
+    """The per-edge loop form of ``build_covering_program``."""
+    num_vars = int(graph.vertices.max()) + 1 if graph.vertices.size else 0
+    seen = set()
+    for eidx in np.nonzero(graph.theta == 0)[0]:
+        a, b = graph.edges[eidx]
+        union = tuple(sorted(set(graph.vertices[a].tolist()) | set(graph.vertices[b].tolist())))
+        seen.add(union)
+    return CoveringProgram(num_vars=num_vars, constraints=tuple(sorted(seen)))
+
+
+class TestVectorisedPairCompile:
+    """The s=1 pass gives the loop's constraints tuple, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 60))
+        iu, ju = np.triu_indices(k, 1)
+        keep = rng.random(len(iu)) < 0.7
+        edges = np.column_stack([iu[keep], ju[keep]])
+        # both orientations, and repeated match ids so that some violated
+        # edges join two vertices of one match (a one-variable constraint)
+        edges[::3] = edges[::3, ::-1]
+        verts = rng.integers(0, k if seed % 2 else 3 * k, size=(k, 1))
+        theta = (rng.random(len(edges)) < 0.4).astype(np.uint8)
+        g = make_graph(verts, edges, theta, s=1)
+        got = build_covering_program(g)
+        want = ref_build_covering_program(g)
+        assert got.num_vars == want.num_vars
+        assert pickle.dumps(got.constraints) == pickle.dumps(want.constraints)
+        assert [np.array_equal(a, b) for a, b in zip(got.cons_csr, want.cons_csr)] == [True, True]
+        if seed % 2:
+            assert any(len(c) == 1 for c in got.constraints)
+
+    def test_empty_and_agreeing(self):
+        for theta in ([], [1, 1]):
+            edges = [(0, 1), (1, 2)][: len(theta)]
+            g = make_graph([[0], [1], [2]], edges, theta, s=1)
+            assert build_covering_program(g).constraints == ref_build_covering_program(g).constraints == ()
 
 
 class TestGraphValidation:

@@ -9,6 +9,7 @@ from consmax.core import CoveringProgram
 from consmax.errors import InfeasibleNode, InvalidArgument, TooLarge
 from consmax.solver import (
     SolverConfig,
+    _solve_lp_bnb,
     brute_force_oracle,
     greedy_cover,
     load_program,
@@ -208,12 +209,14 @@ class TestSolveExact:
         assert final.upper_bound == math.ceil(final.lower_bound - 1e-7)
 
     def test_node_budget_returns_incumbent(self):
-        # three disjoint odd cycles: LP 4.5 vs ILP 6 needs several nodes
+        # three disjoint odd cycles: LP 4.5 vs ILP 6 needs several nodes; the
+        # implied four-variable constraint keeps the program on the LP path
         program = prog(
             9,
             (0, 1), (1, 2), (0, 2),
             (3, 4), (4, 5), (3, 5),
             (6, 7), (7, 8), (6, 8),
+            (0, 1, 2, 3),
         )
         res = solve_exact(program, SolverConfig(node_budget=1))
         assert not res.optimal
@@ -238,6 +241,7 @@ class TestSolveExact:
             (0, 1), (1, 2), (0, 2),
             (3, 4), (4, 5), (3, 5),
             (6, 7), (7, 8), (6, 8),
+            (0, 1, 2, 3),
         )
         res = solve_exact(program)
         assert len(calls) > 1
@@ -245,6 +249,105 @@ class TestSolveExact:
         assert res.objective == 6
         assert res.lower_bound == 6
         check_feasible(program, res.labels)
+
+
+def random_pair_program(rng, min_vars, max_vars, pairs_per_var):
+    """Constraint sizes {1, 2}, as the isometric path compiles them."""
+    p = int(rng.integers(min_vars, max_vars + 1))
+    cons = set()
+    for _ in range(int(rng.integers(1, int(pairs_per_var * p) + 2))):
+        cons.add(tuple(sorted(rng.choice(p, 2, replace=False).tolist())))
+    for _ in range(int(rng.integers(0, 3))):
+        cons.add((int(rng.integers(p)),))
+    return prog(p, *sorted(cons))
+
+
+def optimal_cover_count(program, objective):
+    """Number of feasible label vectors with ``objective`` outliers."""
+    p = program.num_vars
+    z = (np.arange(1 << p)[:, None] >> np.arange(p)) & 1
+    feasible = np.ones(len(z), dtype=bool)
+    for c in program.constraints:
+        feasible &= z[:, list(c)].any(axis=1)
+    return int((feasible & (z.sum(axis=1) == objective)).sum())
+
+
+def check_trace(trace, optimal):
+    """Criterion 4's checks: upper never rises, lower never falls, open
+    counts are non-negative, and a certified solve closes the unit gap."""
+    uppers = [e.upper_bound for e in trace]
+    lowers = [e.lower_bound for e in trace]
+    assert all(a >= b for a, b in zip(uppers, uppers[1:]))
+    assert all(a <= b + 1e-12 for a, b in zip(lowers, lowers[1:]))
+    assert all(e.open_nodes >= 0 for e in trace)
+    if optimal:
+        assert trace[-1].upper_bound == math.ceil(trace[-1].lower_bound - 1e-7)
+
+
+class TestCliquePath:
+    def test_labels_equal_oracle(self):
+        # lexicographically smallest optimum, also where optima tie
+        rng = np.random.default_rng(41)
+        ties = 0
+        for _ in range(240):
+            program = random_pair_program(rng, 2, 12, 1.5)
+            objective, labels = brute_force_oracle(program)
+            res = solve_exact(program)
+            assert res.optimal and res.objective == objective
+            assert res.lower_bound == objective
+            assert res.labels == labels, program.constraints
+            check_trace(res.trace, res.optimal)
+            ties += optimal_cover_count(program, objective) > 1
+        assert ties >= 100
+
+    def test_matches_lp_bnb(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            program = random_pair_program(rng, 40, 80, 1.5)
+            clique = solve_exact(program)
+            lp = _solve_lp_bnb(program)
+            assert (clique.objective, clique.lower_bound, clique.optimal) == (
+                lp.objective, lp.lower_bound, lp.optimal
+            )
+            assert lp.optimal
+            check_feasible(program, clique.labels)
+
+    def test_node_budget_on_five_cycles(self):
+        # conflicts on three disjoint 5-cycles: every 5-cycle needs three
+        # colours but holds no clique of three compatible matches, so the
+        # colouring bound is not tight (root bound 6, optimum 9)
+        cycles = [(b + i, b + (i + 1) % 5) for b in (0, 5, 10) for i in range(5)]
+        program = prog(15, *sorted(tuple(sorted(c)) for c in cycles))
+        full = solve_exact(program)
+        assert full.optimal and full.objective == 9
+        assert full.trace[0].lower_bound == 6
+        res = solve_exact(program, SolverConfig(node_budget=1))
+        assert not res.optimal
+        check_feasible(program, res.labels)
+        assert res.lower_bound <= res.objective
+        assert res.objective == res.labels.num_outliers
+        check_trace(res.trace, res.optimal)
+
+    def test_isometric_exact_makes_no_lp_calls(self, monkeypatch):
+        from consmax.isometric import IsometryConfig, shape_registration
+        from consmax.synth import SynthSpec, synth_isometric_instance
+
+        real = _kernels.packing_simplex
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "packing_simplex", counted)
+        spec = SynthSpec(kind="isometric-grid", n_points=64, outlier_ratio=0.5, seed=3)
+        source, target, matches = synth_isometric_instance(spec)
+        labels, results = shape_registration(source, target, matches, IsometryConfig(mode="exact"))
+        assert calls == []
+        assert all(r.optimal for r in results)
+        assert labels == matches.gt_labels
+        shape_registration(source, target, matches, IsometryConfig(mode="relaxed"))
+        assert calls
 
 
 class TestSolveRelaxed:
