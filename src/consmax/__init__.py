@@ -18,7 +18,6 @@ from .core import (
     MatchSet,
     aggregate_labels,
     build_covering_program,
-    estimate_graph_size,
     kmeans_partition,
 )
 from .io import EvalReport, evaluate_labels
@@ -35,7 +34,6 @@ from .pose import (
     Pose,
     p3p_solve,
     pose_agreement,
-    project_point,
     rotation_geodesic_distance,
 )
 from .solver import (
@@ -43,7 +41,6 @@ from .solver import (
     SolverResult,
     TraceEntry,
     brute_force_oracle,
-    greedy_cover,
     lp_lower_bound,
     solve_exact,
     solve_relaxed,
@@ -72,7 +69,6 @@ __all__ = [
     "MatchSet",
     "aggregate_labels",
     "build_covering_program",
-    "estimate_graph_size",
     "kmeans_partition",
     "EvalReport",
     "evaluate_labels",
@@ -88,13 +84,11 @@ __all__ = [
     "Pose",
     "p3p_solve",
     "pose_agreement",
-    "project_point",
     "rotation_geodesic_distance",
     "SolverConfig",
     "SolverResult",
     "TraceEntry",
     "brute_force_oracle",
-    "greedy_cover",
     "lp_lower_bound",
     "solve_exact",
     "solve_relaxed",

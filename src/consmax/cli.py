@@ -32,11 +32,7 @@ EXIT_BUDGET = 3
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        time_budget=args.time_budget,
-        node_budget=args.node_budget,
-        trace_enabled=True,
-    )
+    return SolverConfig(time_budget=args.time_budget, node_budget=args.node_budget)
 
 
 def _write_traces(reports, path) -> None:

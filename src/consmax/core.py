@@ -13,9 +13,7 @@ functions and safe to call concurrently.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -82,9 +80,6 @@ class LabelVector:
     def outlier_indices(self) -> np.ndarray:
         return np.nonzero(self.z == OUTLIER)[0]
 
-    def inlier_mask(self) -> np.ndarray:
-        return self.z == INLIER
-
 
 @dataclass(frozen=True)
 class MatchSet:
@@ -122,10 +117,6 @@ class MatchSet:
     def matched_source(self) -> np.ndarray:
         return self.source_points[self.pairs[:, 0]]
 
-    @property
-    def matched_target(self) -> np.ndarray:
-        return self.target_points[self.pairs[:, 1]]
-
 
 @dataclass(frozen=True)
 class ConsensusGraph:
@@ -145,15 +136,17 @@ class ConsensusGraph:
         theta = np.asarray(self.theta, dtype=np.uint8).reshape(-1)
         if edges.shape[0] != theta.shape[0]:
             raise InvalidArgument("edges and theta must have equal length")
-        if verts.size and any(len(set(row)) != self.s for row in verts.tolist()):
-            raise InvalidArgument("every vertex subset must have s distinct match indices")
+        if verts.size:
+            rows = np.sort(verts, axis=1)
+            if (rows[:, 1:] == rows[:, :-1]).any():
+                raise InvalidArgument("every vertex subset must have s distinct match indices")
         if edges.size:
             if edges.min() < 0 or edges.max() >= len(verts):
                 raise InvalidArgument("edge vertex index out of range")
             if (edges[:, 0] == edges[:, 1]).any():
                 raise InvalidArgument("self-loop edge")
-            und = {(min(a, b), max(a, b)) for a, b in edges.tolist()}
-            if len(und) != len(edges):
+            keys = np.sort(edges.min(axis=1) * len(verts) + edges.max(axis=1))
+            if (keys[1:] == keys[:-1]).any():
                 raise InvalidArgument("duplicate undirected edge")
         if theta.size and not np.isin(theta, (0, 1)).all():
             raise InvalidArgument("theta values must be 0 or 1")
@@ -203,11 +196,6 @@ class CoveringProgram:
     @property
     def num_constraints(self) -> int:
         return len(self.constraints)
-
-    @cached_property
-    def var_csr(self):
-        """(indptr, cons_ids): variable -> constraint incidence."""
-        return var_incidence(self.num_vars, *self.cons_csr)
 
 
 def var_incidence(num_vars, cons_indptr, cons_indices):
@@ -271,26 +259,6 @@ def build_covering_program(graph: ConsensusGraph) -> CoveringProgram:
         union = tuple(sorted(set(graph.vertices[a].tolist()) | set(graph.vertices[b].tolist())))
         seen.add(union)
     return CoveringProgram(num_vars=num_vars, constraints=tuple(sorted(seen)))
-
-
-def estimate_graph_size(p: int, q: Optional[int], r: int, s: int) -> tuple[int, int]:
-    """Predict (vertex count, edge count) of the agreement graph.
-
-    Full connectivity (``r == 1``): ``C(p, s)`` vertices and all vertex pairs
-    as edges. ``q``-connectivity (``r > 1``): ``floor(p / (s*r)) * C(q, s-1)``
-    vertices, again with all pairs as edges. Integer arithmetic throughout.
-    """
-    if s < 1 or p < s:
-        raise InvalidArgument("need p >= s >= 1")
-    if r < 1:
-        raise InvalidArgument("need r >= 1")
-    if r == 1:
-        vertices = math.comb(p, s)
-    else:
-        if q is None or q < s - 1:
-            raise InvalidArgument("need q >= s - 1 for q-connectivity")
-        vertices = (p // (s * r)) * math.comb(q, s - 1)
-    return vertices, math.comb(vertices, 2)
 
 
 def kmeans_partition(points, m: int, seed: int) -> ClusterPartition:

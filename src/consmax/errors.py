@@ -17,20 +17,12 @@ class TooLarge(ConsmaxError):
     """Instance exceeds the size limit of an exhaustive routine."""
 
 
-class InfeasibleNode(ConsmaxError):
-    """A constraint has every variable fixed to inlier; the node cannot be completed."""
-
-
 class LpNotConverged(ConsmaxError):
     """The LP sub-solver hit its iteration cap before reaching tolerance."""
 
 
 class DegenerateConfiguration(ConsmaxError, ValueError):
     """Pose problem is degenerate (collinear 3D points or coincident bearings)."""
-
-
-class BehindCamera(ConsmaxError):
-    """Point has non-positive depth after the rigid transform."""
 
 
 class InvalidRotation(ConsmaxError, ValueError):

@@ -226,14 +226,6 @@ def emit_report(report: dict, path) -> None:
         fh.write(render_report(report))
 
 
-def parse_report(path) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"bad report JSON: {exc}", str(path), exc.lineno) from None
-
-
 def build_report(
     labels: LabelVector,
     unconstrained,

@@ -109,20 +109,16 @@ class GeodesicTable:
         object.__setattr__(self, "distances", d)
 
 
-def geodesic_distances(mesh_or_graph, query_ids) -> GeodesicTable:
+def geodesic_distances(mesh_or_points, query_ids) -> GeodesicTable:
     """Pairwise edge-graph shortest-path distances between query vertices.
 
-    Accepts a TriMesh, a raw (n,3) point cloud (k-NN graph fallback), or a
-    prebuilt CSR triple.
+    Accepts a TriMesh or a raw (n,3) point cloud (k-NN graph fallback).
     """
-    if isinstance(mesh_or_graph, TriMesh):
-        indptr, indices, weights = mesh_or_graph.edge_graph
-        n = mesh_or_graph.num_vertices
-    elif isinstance(mesh_or_graph, tuple) and len(mesh_or_graph) == 3:
-        indptr, indices, weights = mesh_or_graph
-        n = len(indptr) - 1
+    if isinstance(mesh_or_points, TriMesh):
+        indptr, indices, weights = mesh_or_points.edge_graph
+        n = mesh_or_points.num_vertices
     else:
-        pts = np.asarray(mesh_or_graph, dtype=np.float64)
+        pts = np.asarray(mesh_or_points, dtype=np.float64)
         indptr, indices, weights = knn_graph(pts)
         n = len(pts)
     ids = np.asarray(query_ids, dtype=np.int64)
@@ -204,15 +200,21 @@ def _parse_ply(text: str, path: str) -> TriMesh:
         if not parts:
             continue
         if parts[0] == "format":
-            if parts[1] != "ascii":
+            if parts[1:2] != ["ascii"]:
                 raise MalformedInput("only ascii PLY supported", path, lineno)
         elif parts[0] == "element":
+            try:
+                count = int(parts[2])
+            except (ValueError, IndexError):
+                raise MalformedInput("element needs a name and an integer count", path, lineno) from None
+            if count < 0:
+                raise MalformedInput("negative element count", path, lineno)
             in_vertex_element = parts[1] == "vertex"
             if parts[1] == "vertex":
-                n_vert = int(parts[2])
+                n_vert = count
             elif parts[1] == "face":
-                n_face = int(parts[2])
-        elif parts[0] == "property" and in_vertex_element and parts[1] != "list":
+                n_face = count
+        elif parts[0] == "property" and in_vertex_element and parts[1:2] != ["list"]:
             vert_props.append(parts[-1])
     if body_start is None or n_vert is None:
         raise MalformedInput("incomplete PLY header", path, 1)
@@ -244,6 +246,8 @@ def _parse_ply(text: str, path: str) -> TriMesh:
             idx = [int(t) for t in parts[1:1 + cnt]]
         except (ValueError, IndexError):
             raise MalformedInput("bad face line", path, lineno) from None
+        if len(idx) != cnt:
+            raise MalformedInput(f"face line lists {len(idx)} of its {cnt} indices", path, lineno)
         if cnt != 3:
             raise MalformedInput("only triangular faces supported", path, lineno)
         if min(idx) < 0 or max(idx) >= n_vert:

@@ -1,4 +1,4 @@
-"""Minimal absolute-pose machinery: P3P, rotation distance, projection.
+"""Minimal absolute-pose machinery: P3P, rotation distance, pose agreement.
 
 The P3P solver follows the classical distance-ratio formulation: the law of
 cosines between the three viewing rays reduces to a quartic in the ratio of
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BehindCamera,
     DegenerateConfiguration,
     EmptySolutions,
     InvalidArgument,
@@ -138,14 +137,6 @@ def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     D = np.diag([1.0, 1.0, d])
     R = Vt.T @ D @ U.T
     return R, cd - R @ cs
-
-
-def project_point(K: CameraIntrinsics, pose: Pose, point) -> np.ndarray:
-    """Pinhole projection of ``R @ X + t``; the depth must be positive."""
-    xc = pose.apply(point)[0]
-    if xc[2] <= 1e-12:
-        raise BehindCamera(f"depth {xc[2]:.3g} is not positive")
-    return np.array([K.fx * xc[0] / xc[2] + K.cx, K.fy * xc[1] / xc[2] + K.cy])
 
 
 def _polymul(a, b) -> np.ndarray:

@@ -59,6 +59,8 @@ class TemplateMatchConfig:
             raise InvalidArgument("eps2 must be positive")
         if self.q < 4:
             raise InvalidArgument("q must be >= 4")
+        if self.edges_per_point_cap < 1:
+            raise InvalidArgument("edges_per_point_cap must be >= 1")
         if not (0.0 < self.tau <= 1.0):
             raise InvalidArgument("tau must lie in (0, 1]")
         if self.clusters < 1:

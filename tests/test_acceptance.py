@@ -54,10 +54,10 @@ def random_suite():
     for _ in range(200):
         program = random_program(rng)
         t0 = time.perf_counter()
-        res = solve_exact(program, SolverConfig(trace_enabled=True))
+        res = solve_exact(program, SolverConfig())
         solve_time += time.perf_counter() - t0
         oracle_obj, _ = brute_force_oracle(program)
-        lp = lp_lower_bound(program, tolerance=LP_TOL)
+        lp = lp_lower_bound(program)
         entries.append(
             {"program": program, "result": res, "oracle": oracle_obj, "lp": lp}
         )
@@ -188,7 +188,7 @@ def test_criterion_5_lp_bound_sanity(random_suite):
         if e["lp"] > e["oracle"] + 1e-6:
             bad.append((k, e["lp"], e["oracle"]))
     odd = CoveringProgram(3, ((0, 1), (1, 2), (0, 2)))
-    lp = lp_lower_bound(odd, tolerance=LP_TOL)
+    lp = lp_lower_bound(odd)
     ilp, _ = brute_force_oracle(odd)
     if abs(lp - 1.5) > 1e-7:
         bad.append(("odd-cycle-lp", lp))

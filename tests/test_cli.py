@@ -120,6 +120,20 @@ class TestMatchShapes:
         )
         assert code == 2
 
+    def test_malformed_ply_exit_2(self, iso_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.ply"
+        bad.write_text("ply\nformat ascii 1.0\nelement vertex -2\nend_header\n")
+        code = run_cli(
+            [
+                "match-shapes",
+                "--source", str(bad),
+                "--target", str(iso_dir / "target.obj"),
+                "--matches", str(iso_dir / "matches.txt"),
+            ]
+        )
+        assert code == 2
+        assert f"{bad}:3: negative element count" in capsys.readouterr().err
+
     def test_byte_identical_reports(self, iso_dir, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -204,6 +218,12 @@ class TestMatchTemplate:
         code = run_cli(template_args(tpl36_dir, "--clusters", "0", "--report-out", str(tmp_path / "r.json")))
         assert code == 1
         assert "clusters must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_edge_cap_below_one_rejected(self, tpl36_dir, tmp_path, capsys):
+        code = run_cli(template_args(tpl36_dir, "--edge-cap", "0", "--report-out", str(tmp_path / "r.json")))
+        assert code == 1
+        assert "edges_per_point_cap must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_bad_intrinsics_exit_2(self, tpl_dir, tmp_path):

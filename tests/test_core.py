@@ -11,7 +11,6 @@ from consmax.core import (
     MatchSet,
     aggregate_labels,
     build_covering_program,
-    estimate_graph_size,
     kmeans_partition,
 )
 from consmax.errors import CoverageGap, InvalidArgument
@@ -135,26 +134,23 @@ class TestGraphValidation:
         with pytest.raises(InvalidArgument):
             make_graph([[0, 0, 1]], [], [], s=3)
 
+    def test_repeat_in_non_adjacent_position(self):
+        with pytest.raises(InvalidArgument, match="s distinct match indices"):
+            make_graph([[1, 0, 1]], [], [], s=3)
 
-class TestEstimateGraphSize:
-    def test_full_connectivity(self):
-        assert estimate_graph_size(100, None, 1, 1) == (100, 4950)
-
-    def test_single_point(self):
-        assert estimate_graph_size(1, None, 1, 1) == (1, 0)
-
-    def test_q_connectivity(self):
-        assert estimate_graph_size(90, 15, 5, 3) == (630, 198135)
-
-    def test_preconditions(self):
-        with pytest.raises(InvalidArgument):
-            estimate_graph_size(0, None, 1, 1)
-        with pytest.raises(InvalidArgument):
-            estimate_graph_size(5, None, 1, 6)
-        with pytest.raises(InvalidArgument):
-            estimate_graph_size(5, None, 0, 1)
-        with pytest.raises(InvalidArgument):
-            estimate_graph_size(90, 1, 5, 3)  # q < s - 1
+    def test_reversed_duplicate_deep_in_large_graph(self):
+        rng = np.random.default_rng(5)
+        v = 300
+        iu, ju = np.triu_indices(v, 1)
+        edges = np.column_stack([iu, ju])[rng.choice(len(iu), 5000, replace=False)]
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        theta = rng.integers(0, 2, len(edges))
+        vertices = np.arange(v)[:, None]
+        make_graph(vertices, edges, theta, s=1)
+        dup = np.insert(edges, 4200, edges[3711, ::-1], axis=0)
+        with pytest.raises(InvalidArgument, match="duplicate undirected edge"):
+            make_graph(vertices, dup, np.insert(theta, 4200, 0), s=1)
 
 
 class TestKmeans:

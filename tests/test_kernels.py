@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from consmax import _kernels
-from consmax.core import CoveringProgram
+from consmax.core import CoveringProgram, var_incidence
 from consmax.mesh import TriMesh, knn_graph
-from consmax.solver import SolverConfig, _lp_max_iter
+from consmax.solver import LP_TOLERANCE, _lp_max_iter
 from test_mesh import jittered_grid
 
 
@@ -173,7 +173,7 @@ class TestGreedyPick:
         p = int(rng.integers(6, 60))
         program = random_program(rng, range(1, 7), p, int(rng.integers(1, 4 * p)))
         cons_indptr, cons_indices = program.cons_csr
-        var_indptr, var_cons = program.var_csr
+        var_indptr, var_cons = var_incidence(p, cons_indptr, cons_indices)
         args = (p, cons_indptr, cons_indices, var_indptr, var_cons)
         assert_same_bits(_kernels.greedy_pick(*args), ref_greedy_pick(*args))
 
@@ -220,7 +220,7 @@ class TestPackingSimplex:
         indptr, indices = program.cons_csr
         args = (
             program.num_vars, program.num_constraints, indptr, indices,
-            SolverConfig().lp_tolerance, _lp_max_iter(program.num_vars, program.num_constraints),
+            LP_TOLERANCE, _lp_max_iter(program.num_vars, program.num_constraints),
         )
         status, obj, z, its = _kernels.packing_simplex(*args)
         r_status, r_obj, r_z, r_its = ref_packing_simplex(*args)

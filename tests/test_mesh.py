@@ -157,6 +157,27 @@ class TestMeshIO:
         with pytest.raises(MalformedInput):
             load_mesh(path)
 
+    @pytest.mark.parametrize(
+        "header,face,line",
+        [
+            ("format ascii 1.0\nelement vertex abc", "3 0 1 2", 3),
+            ("format\nelement vertex 3", "3 0 1 2", 2),
+            ("format ascii 1.0\nelement vertex -2", "3 0 1 2", 3),
+            ("format ascii 1.0\nelement vertex 3", "3 0 1", 13),
+        ],
+        ids=["non-integer-count", "bare-format", "negative-count", "short-face"],
+    )
+    def test_ply_malformed_header_or_face(self, tmp_path, header, face, line):
+        path = tmp_path / "m.ply"
+        path.write_text(
+            f"ply\n{header}\nproperty double x\nproperty double y\nproperty double z\n"
+            f"element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+            f"0 0 0\n1 0 0\n0 1 0\n{face}\n"
+        )
+        with pytest.raises(MalformedInput) as exc:
+            load_mesh(path)
+        assert (exc.value.path, exc.value.line) == (str(path), line)
+
     def test_ply_truncated(self, tmp_path):
         path = tmp_path / "m.ply"
         path.write_text(

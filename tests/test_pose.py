@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from consmax.errors import (
-    BehindCamera,
     DegenerateConfiguration,
     EmptySolutions,
     InvalidArgument,
@@ -19,7 +18,6 @@ from consmax.pose import (
     _polymul,
     p3p_solve,
     pose_agreement,
-    project_point,
     random_rotation,
     rotation_geodesic_distance,
 )
@@ -215,23 +213,6 @@ class TestPoseAgreement:
         p = Pose(np.eye(3), np.zeros(3))
         with pytest.raises(EmptySolutions):
             pose_agreement([], [p], 0.1, 0.4)
-
-
-class TestProjection:
-    def test_center_ray(self):
-        K = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
-        got = project_point(K, Pose(np.eye(3), np.zeros(3)), [0.0, 0, 1])
-        assert got.tolist() == [0.0, 0.0]
-
-    def test_halfway_point(self):
-        K = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
-        got = project_point(K, Pose(np.eye(3), np.zeros(3)), [1.0, 1, 2])
-        assert got.tolist() == [0.5, 0.5]
-
-    def test_behind_camera(self):
-        K = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
-        with pytest.raises(BehindCamera):
-            project_point(K, Pose(np.eye(3), np.zeros(3)), [0.0, 0, -1])
 
 
 class TestIntrinsics:

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import itertools
 import math
 
@@ -6,16 +8,12 @@ import pytest
 
 from consmax import _kernels
 from consmax.core import CoveringProgram
-from consmax.errors import InfeasibleNode, InvalidArgument, TooLarge
+from consmax.errors import InvalidArgument, TooLarge
 from consmax.solver import (
     SolverConfig,
     _solve_lp_bnb,
     brute_force_oracle,
-    greedy_cover,
-    load_program,
-    load_trace,
     lp_lower_bound,
-    save_program,
     save_trace,
     solve_exact,
     solve_relaxed,
@@ -63,33 +61,12 @@ class TestBruteForce:
         assert labels.z.tolist() == [0, 1]
 
 
-class TestGreedyCover:
-    def test_picks_middle(self):
-        labels = greedy_cover(prog(3, (0, 1), (1, 2)))
-        assert labels.z.tolist() == [0, 1, 0]
-
-    def test_respects_fixed_inlier(self):
-        labels = greedy_cover(prog(2, (0, 1)), fixed={1: 0})
-        assert labels.z.tolist() == [1, 0]
-
-    def test_infeasible_node(self):
-        with pytest.raises(InfeasibleNode):
-            greedy_cover(prog(1, (0,)), fixed={0: 0})
-
-
 class TestLpLowerBound:
     def test_odd_cycle_is_three_halves(self):
         assert lp_lower_bound(prog(3, (0, 1), (1, 2), (0, 2))) == pytest.approx(1.5, abs=1e-9)
 
     def test_empty_program(self):
         assert lp_lower_bound(prog(4)) == 0.0
-
-    def test_fixed_outlier_counts(self):
-        assert lp_lower_bound(prog(2, (0, 1)), fixed={0: 1}) == pytest.approx(1.0, abs=1e-12)
-
-    def test_infeasible(self):
-        with pytest.raises(InfeasibleNode):
-            lp_lower_bound(prog(1, (0,)), fixed={0: 0})
 
     def test_never_exceeds_ilp(self):
         rng = np.random.default_rng(7)
@@ -180,16 +157,13 @@ class TestSolveExact:
         for _ in range(40):
             program = random_program(rng)
             res = solve_exact(program)
-            lo = lp_lower_bound(program)
-            hi = int(greedy_cover(program).z.sum())
-            assert lo - 1e-6 <= res.objective <= hi
+            assert lp_lower_bound(program) - 1e-6 <= res.objective
 
     def test_determinism(self):
         rng = np.random.default_rng(31)
         program = random_program(rng, max_vars=14, max_cons=25)
-        cfg = SolverConfig(trace_enabled=True)
-        a = solve_exact(program, cfg)
-        b = solve_exact(program, cfg)
+        a = solve_exact(program)
+        b = solve_exact(program)
         assert a.objective == b.objective
         assert a.labels == b.labels
         assert [
@@ -350,6 +324,53 @@ class TestCliquePath:
         assert calls
 
 
+def pinned_lp_bnb_programs():
+    """Forty seeded programs of constraint sizes {1, 2, 4}, biased towards
+    pairs so that many of them branch, plus the odd-cycle programs above."""
+    rng = np.random.default_rng(2024)
+    programs = []
+    for _ in range(40):
+        p = int(rng.integers(8, 33))
+        cons = set()
+        for _ in range(int(rng.integers(p, 3 * p))):
+            size = min(int(rng.choice([1, 2, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4])), p)
+            cons.add(tuple(sorted(rng.choice(p, size, replace=False).tolist())))
+        programs.append(prog(p, *sorted(cons)))
+    programs.append(prog(6, (0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    programs.append(
+        prog(
+            9,
+            (0, 1), (1, 2), (0, 2),
+            (3, 4), (4, 5), (3, 5),
+            (6, 7), (7, 8), (6, 8),
+            (0, 1, 2, 3),
+        )
+    )
+    return programs
+
+
+class TestLpBnbPinned:
+    # sha256 over every _solve_lp_bnb result on pinned_lp_bnb_programs():
+    # labels, objective, repr(lower_bound), optimal and each trace row, then
+    # the same for a node_budget=2 stop on the last program. It pins node
+    # order, bounds and incumbents; re-record it only for a deliberate change
+    # of the search.
+    DIGEST = "8650464790affab78783f0954bc946e3a71fe04ae76df2596ea60d0e01ff02e2"
+
+    def test_results_unchanged(self):
+        programs = pinned_lp_bnb_programs()
+        runs = [(program, SolverConfig()) for program in programs]
+        runs.append((programs[-1], SolverConfig(node_budget=2)))
+        h = hashlib.sha256()
+        for program, config in runs:
+            res = _solve_lp_bnb(program, config)
+            h.update(res.labels.z.tobytes())
+            h.update(f"|{res.objective}|{res.lower_bound!r}|{res.optimal}\n".encode())
+            for e in res.trace:
+                h.update(f"{e.iteration},{e.upper_bound},{e.lower_bound!r},{e.open_nodes}\n".encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestSolveRelaxed:
     def test_empty(self):
         res = solve_relaxed(prog(3))
@@ -393,36 +414,17 @@ class TestSolverConfigValidation:
             SolverConfig(time_budget=0)
         with pytest.raises(InvalidArgument):
             SolverConfig(node_budget=0)
-        with pytest.raises(InvalidArgument):
-            SolverConfig(lp_tolerance=1e-2)
 
 
 class TestInstanceFormat:
-    def test_round_trip(self, tmp_path):
-        program = prog(5, (0, 1), (2, 3, 4), (1,))
-        path = tmp_path / "inst.txt"
-        save_program(program, path)
-        text = path.read_text()
-        assert text.splitlines()[0] == "5 3"
-        assert "1 2" in text  # 1-based indices on disk
-        back = load_program(path)
-        assert back.num_vars == 5
-        assert back.constraints == program.constraints
-
-    def test_malformed(self, tmp_path):
-        from consmax.errors import MalformedInput
-
-        path = tmp_path / "bad.txt"
-        path.write_text("2 1\n0 7\n")
-        with pytest.raises(MalformedInput):
-            load_program(path)
-
     def test_trace_round_trip(self, tmp_path):
         res = solve_exact(prog(3, (0, 1), (1, 2)))
         path = tmp_path / "trace.csv"
         save_trace(res.trace, path)
-        assert path.read_text().splitlines()[0] == "iteration,upper,lower,open_nodes"
-        back = load_trace(path)
-        assert [(e.iteration, e.upper_bound, e.lower_bound, e.open_nodes) for e in back] == [
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["iteration", "upper", "lower", "open_nodes"]
+        back = [(int(i), int(u), float(lo), int(n)) for i, u, lo, n in rows[1:]]
+        assert back == [
             (e.iteration, e.upper_bound, e.lower_bound, e.open_nodes) for e in res.trace
         ]

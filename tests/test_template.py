@@ -36,6 +36,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgument):
             TemplateMatchConfig(mode="vote")
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_edge_cap_below_one(self, cap):
+        with pytest.raises(InvalidArgument, match="edges_per_point_cap"):
+            TemplateMatchConfig(edges_per_point_cap=cap)
+
 
 class TestBuildTriangleGraph:
     def test_rigid_scene_all_agree(self):
