@@ -182,12 +182,18 @@ class CoveringProgram:
         np.cumsum(np.fromiter(map(len, cons), dtype=np.int64, count=len(cons)), out=indptr[1:])
         if (indptr[1:] == indptr[:-1]).any():
             raise InvalidArgument("empty constraint")
-        if any(len(set(c)) != len(c) for c in cons):
-            raise InvalidArgument("constraint has duplicate indices")
         try:
             indices = np.fromiter(chain.from_iterable(cons), dtype=np.int64, count=int(indptr[-1]))
         except OverflowError:
+            if any(len(set(c)) != len(c) for c in cons):
+                raise InvalidArgument("constraint has duplicate indices") from None
             raise InvalidArgument("constraint index out of range") from None
+        # a repeated index sits next to itself once each constraint is sorted
+        owner = np.repeat(np.arange(len(cons)), np.diff(indptr))
+        order = np.lexsort((indices, owner))
+        same = (owner[order][1:] == owner[order][:-1]) & (indices[order][1:] == indices[order][:-1])
+        if same.any():
+            raise InvalidArgument("constraint has duplicate indices")
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_vars):
             raise InvalidArgument("constraint index out of range")
         object.__setattr__(self, "constraints", cons)
@@ -241,16 +247,20 @@ def build_covering_program(graph: ConsensusGraph) -> CoveringProgram:
     The constraint is the deduplicated union of the edge's two vertex index
     subsets; agreeing edges (theta=1) produce nothing, and duplicate
     constraints are removed. An empty graph yields an empty program.
-    Constraints are sorted as tuples. For s=1 they come from one sorted
-    ``np.unique`` over the ``(lo, hi)`` match pairs of the violated edges;
-    a pair of equal matches is a one-variable constraint.
+    Constraints are sorted as tuples. For s=1 they come from one
+    ``np.sort`` of the ``(lo, hi)`` match-pair keys of the violated edges,
+    with repeats dropped; a pair of equal matches is a one-variable
+    constraint.
     """
     num_vars = int(graph.vertices.max()) + 1 if graph.vertices.size else 0
     if graph.s == 1:
         violated = graph.edges[graph.theta == 0]
         u, w = graph.vertices[violated[:, 0], 0], graph.vertices[violated[:, 1], 0]
         # (x, x) sorts before (x, y > x), as the singleton (x,) does before (x, y)
-        lo, hi = np.divmod(np.unique(np.minimum(u, w) * num_vars + np.maximum(u, w)), num_vars)
+        keys = np.sort(np.minimum(u, w) * num_vars + np.maximum(u, w))
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        lo, hi = np.divmod(keys[first], num_vars)
         constraints = tuple((a,) if a == b else (a, b) for a, b in zip(lo.tolist(), hi.tolist()))
         return CoveringProgram(num_vars=num_vars, constraints=constraints)
     seen = set()

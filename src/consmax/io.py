@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import INLIER, OUTLIER, LabelVector, MatchSet
 from .errors import LengthMismatch, MalformedInput
-from .mesh import save_mesh
+from .mesh import read_ascii, save_mesh
 from .pose import CameraIntrinsics
 
 emit_mesh = save_mesh
@@ -105,8 +105,7 @@ def emit_matches(matches: MatchSet, path) -> None:
 def parse_matches(path, source_points=None, target_points=None) -> MatchSet:
     """Read a matches file. Point arrays default to placeholders large
     enough for the indices (callers binding real geometry pass their own)."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    raw = read_ascii(path).splitlines()
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
     if not lines:
         raise MalformedInput("empty matches file", str(path), 1)
@@ -167,8 +166,7 @@ def emit_points(points, path) -> None:
 
 
 def parse_points(path, dim: Optional[int] = None) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    raw = read_ascii(path).splitlines()
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
     if not lines:
         raise MalformedInput("empty points file", str(path), 1)
@@ -203,10 +201,7 @@ def emit_intrinsics(K: CameraIntrinsics, path) -> None:
 
 
 def parse_intrinsics(path) -> CameraIntrinsics:
-    try:
-        text = open(path, "r", encoding="ascii").read()
-    except OSError as exc:
-        raise MalformedInput(str(exc), str(path)) from None
+    text = read_ascii(path)
     try:
         return CameraIntrinsics.from_json(text)
     except MalformedInput as exc:

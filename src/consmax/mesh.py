@@ -136,8 +136,21 @@ def geodesic_distances(mesh_or_points, query_ids) -> GeodesicTable:
 # OBJ / PLY I/O (ASCII subsets)
 # ---------------------------------------------------------------------------
 
+def read_ascii(path) -> str:
+    """The text of an ASCII input file. A file that cannot be read, or that
+    holds a non-ASCII byte, raises MalformedInput."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise MalformedInput(str(exc), str(path)) from None
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise MalformedInput(f"non-ASCII byte 0x{exc.object[exc.start]:02x}", str(path), line) from None
+
+
 def load_mesh(path) -> TriMesh:
-    text = open(path, "r", encoding="ascii").read()
+    text = read_ascii(path)
     head = text.lstrip()[:3]
     if head == "ply":
         return _parse_ply(text, str(path))

@@ -24,13 +24,8 @@ from .core import (
     kmeans_partition,
     register_clusters,
 )
-from .errors import (
-    DegenerateConfiguration,
-    EmptyMatches,
-    InvalidArgument,
-    TooFewMatches,
-)
-from .pose import CameraIntrinsics, p3p_solve, pose_agreement
+from .errors import EmptyMatches, InvalidArgument, TooFewMatches
+from .pose import CameraIntrinsics, p3p_batch, pose_agreement_batch, triangle_extent
 from .solver import SolverConfig, solve_exact, solve_relaxed
 
 MODES = ("exact", "relaxed", "local-filter")
@@ -69,17 +64,13 @@ class TemplateMatchConfig:
             raise InvalidArgument(f"mode must be one of {MODES}")
 
 
-def _collinear(pts: np.ndarray) -> bool:
-    sides = (
-        np.linalg.norm(pts[1] - pts[2]),
-        np.linalg.norm(pts[0] - pts[2]),
-        np.linalg.norm(pts[0] - pts[1]),
-    )
-    diam = max(sides)
-    if diam <= 0.0:
-        return True
-    area2 = np.linalg.norm(np.cross(pts[1] - pts[0], pts[2] - pts[0]))
-    return area2 / diam <= _COLLINEAR_REL * diam
+def _collinear(pts: np.ndarray) -> np.ndarray:
+    """Rows of an (n, 3, 3) stack of point triples that are coincident or
+    collinear."""
+    sides, area2 = triangle_extent(pts)
+    diam = sides.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (diam <= 0.0) | (area2 / diam <= _COLLINEAR_REL * diam)
 
 
 def build_triangle_graph(
@@ -115,78 +106,64 @@ def build_triangle_graph(
         adj[i, nn] = True
     adj |= adj.T  # symmetric q-NN graph
 
-    triangles: list[tuple[int, int, int]] = []
+    # triangles i < j < l of mutual neighbours, generated in sorted order
+    triples = [np.empty((0, 3), dtype=np.int64)]
     for i in range(k):
-        nbrs = np.nonzero(adj[i])[0]
-        nbrs = nbrs[nbrs > i]
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                j, l = int(nbrs[a]), int(nbrs[b])
-                if adj[j, l] and not _collinear(tpts[[i, j, l]]):
-                    triangles.append((i, j, l))
-    triangles.sort()
-    tri_index = {t: n for n, t in enumerate(triangles)}
+        nbrs = np.nonzero(adj[i, i + 1:])[0] + (i + 1)
+        a, b = np.nonzero(np.triu(adj[np.ix_(nbrs, nbrs)], 1))
+        triples.append(np.column_stack([np.full(len(a), i), nbrs[a], nbrs[b]]))
+    tri = np.concatenate(triples)
+    tri = tri[~_collinear(tpts[tri])]
 
-    edge_to_tris: dict[tuple[int, int], list[int]] = {}
-    for n, (a, b, c) in enumerate(triangles):
-        for e in ((a, b), (b, c), (a, c)):
-            edge_to_tris.setdefault(e, []).append(n)
-    candidates = set()
-    for tris in edge_to_tris.values():
-        for x in range(len(tris)):
-            for y in range(x + 1, len(tris)):
-                candidates.add((tris[x], tris[y]))
-    ordered = sorted(candidates)
+    # pairs of triangles sharing an edge (two matches), in sorted order; two
+    # distinct triangles share at most one edge, so no pair repeats. Sorted
+    # by edge key, each triangle-edge pairs with every later entry of its key.
+    keys = np.concatenate(
+        [tri[:, 0] * k + tri[:, 1], tri[:, 1] * k + tri[:, 2], tri[:, 0] * k + tri[:, 2]]
+    )
+    owner = np.tile(np.arange(len(tri)), 3)
+    order = np.lexsort((owner, keys))
+    keys, owner = keys[order], owner[order]
+    pos = np.arange(len(keys))
+    later = np.searchsorted(keys, keys, side="right") - pos - 1
+    first = np.repeat(pos, later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    order = np.lexsort((owner[second], owner[first]))
+    first, second = first[order], second[order]
+    ordered = np.column_stack([owner[first], owner[second]])
+    # the four matches of each pair: the first triangle's three, plus the
+    # second triangle's vertex off the shared edge
+    shared = keys[first] // k + keys[first] % k
+    involved = np.column_stack([tri[ordered[:, 0]], tri[ordered[:, 1]].sum(axis=1) - shared])
 
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(ordered))
-    incident = np.zeros(k, dtype=np.int64)
-    kept: list[tuple[int, int]] = []
+    incident = [0] * k
+    kept = []
     cap = config.edges_per_point_cap
-    for pos in perm:
-        t1, t2 = ordered[pos]
-        involved = sorted(set(triangles[t1]) | set(triangles[t2]))
-        if any(incident[v] >= cap for v in involved):
+    for pos, w, x, y, z in zip(perm.tolist(), *involved[perm].T.tolist()):
+        if incident[w] >= cap or incident[x] >= cap or incident[y] >= cap or incident[z] >= cap:
             continue
-        for v in involved:
-            incident[v] += 1
-        kept.append((t1, t2))
-    kept.sort()
+        incident[w] += 1
+        incident[x] += 1
+        incident[y] += 1
+        incident[z] += 1
+        kept.append(pos)
+    kept = ordered[np.sort(np.array(kept, dtype=np.int64))]
 
-    bearings = K.bearing(ipts)
-    pose_cache: dict[int, Optional[list]] = {}
-
-    def poses_of(tri_id: int):
-        if tri_id not in pose_cache:
-            tri = triangles[tri_id]
-            try:
-                sols = p3p_solve(tpts[list(tri)], bearings[list(tri)])
-            except DegenerateConfiguration:
-                sols = []
-            pose_cache[tri_id] = sols if sols else None
-        return pose_cache[tri_id]
-
-    edges = []
-    theta = []
-    for t1, t2 in kept:
-        pa = poses_of(t1)
-        pb = poses_of(t2)
-        if pa is None or pb is None:
-            continue
-        edges.append((t1, t2))
-        theta.append(pose_agreement(pa, pb, config.eps1, config.eps2))
-
-    vertices = (
-        ids[np.array(triangles, dtype=np.int64)]
-        if triangles
-        else np.empty((0, 3), dtype=np.int64)
+    # P3P for the triangles of kept edges only, then agreement over the
+    # edges whose triangles both have poses
+    used, slot = np.unique(kept, return_inverse=True)
+    rot, trans, counts, _ = p3p_batch(tpts[tri[used]], K.bearing(ipts)[tri[used]])
+    slot = slot.reshape(-1, 2)
+    both = (counts[slot] > 0).all(axis=1)
+    edges, slot = kept[both], slot[both]
+    sa, sb = slot[:, 0], slot[:, 1]
+    theta = pose_agreement_batch(
+        rot[sa], trans[sa], counts[sa], rot[sb], trans[sb], counts[sb], config.eps1, config.eps2
     )
-    return ConsensusGraph(
-        vertices=vertices,
-        edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
-        theta=np.array(theta, dtype=np.uint8),
-        s=3,
-    )
+
+    return ConsensusGraph(vertices=ids[tri], edges=edges, theta=theta, s=3)
 
 
 def local_filtering(

@@ -134,6 +134,33 @@ class TestMatchShapes:
         assert code == 2
         assert f"{bad}:3: negative element count" in capsys.readouterr().err
 
+    def test_missing_source_exit_2(self, iso_dir, tmp_path, capsys):
+        missing = tmp_path / "absent.obj"
+        code = run_cli(
+            [
+                "match-shapes",
+                "--source", str(missing),
+                "--target", str(iso_dir / "target.obj"),
+                "--matches", str(iso_dir / "matches.txt"),
+            ]
+        )
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_non_ascii_obj_exit_2(self, iso_dir, tmp_path, capsys):
+        bad = tmp_path / "accent.obj"
+        bad.write_bytes(b"# mesh\nv 0 0 0\n# caf\xe9\nv 1 0 0\n")
+        code = run_cli(
+            [
+                "match-shapes",
+                "--source", str(bad),
+                "--target", str(iso_dir / "target.obj"),
+                "--matches", str(iso_dir / "matches.txt"),
+            ]
+        )
+        assert code == 2
+        assert f"{bad}:3: non-ASCII byte 0xe9" in capsys.readouterr().err
+
     def test_byte_identical_reports(self, iso_dir, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

@@ -90,6 +90,32 @@ def ref_build_covering_program(graph):
     return CoveringProgram(num_vars=num_vars, constraints=tuple(sorted(seen)))
 
 
+class TestCoveringProgramChecks:
+    @pytest.mark.parametrize(
+        "constraints,message",
+        [
+            (((0, 1), ()), "empty constraint"),
+            (((0, 1), (2, 0, 2)), "duplicate indices"),
+            (((1, 1),), "duplicate indices"),
+            (((0, 4),), "out of range"),
+            (((0, -1),), "out of range"),
+            (((0, 2**70),), "out of range"),
+            # a repeat is reported before an index too large for int64
+            (((0, 2**70), (3, 3)), "duplicate indices"),
+            (((5, 5), (0, 9)), "duplicate indices"),
+        ],
+    )
+    def test_rejects(self, constraints, message):
+        with pytest.raises(InvalidArgument, match=message):
+            CoveringProgram(num_vars=4, constraints=constraints)
+
+    def test_repeats_across_constraints_allowed(self):
+        prog = CoveringProgram(num_vars=4, constraints=[[3, 1], (1, 3, 0), (np.int64(2),)])
+        assert prog.constraints == ((3, 1), (1, 3, 0), (2,))
+        assert prog.cons_csr[0].tolist() == [0, 2, 5, 6]
+        assert prog.cons_csr[1].tolist() == [3, 1, 1, 3, 0, 2]
+
+
 class TestVectorisedPairCompile:
     """The s=1 pass gives the loop's constraints tuple, byte for byte."""
 

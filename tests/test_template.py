@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from consmax.core import ConsensusGraph, build_covering_program
+from consmax.core import ConsensusGraph, build_covering_program, kmeans_partition
 from consmax.errors import AllClustersSkipped, InvalidArgument, TooFewMatches
 from consmax.solver import SolverConfig
 from consmax.synth import SynthSpec, synth_template_instance
@@ -98,6 +100,31 @@ class TestBuildTriangleGraph:
         ids = np.arange(100, 149)
         graph = build_triangle_graph(template, image, K, match_ids=ids)
         assert graph.vertices.min() >= 100
+
+
+class TestGraphDigests:
+    # sha256 of the (vertices, edges, theta) bytes of every cluster's graph
+    # on the tpl-bend-c4 benchmark instance, with (triangles, edges), as the
+    # one-triangle P3P and pose-pair loop built them
+    PINNED = [
+        (1853, 1239, "69681ddd3bab278d252492b2486b4e4b0dd56c2ed348be414e0d8688d0f7051e"),
+        (1734, 1158, "9aac097c2eff6dd1f6f053feef9a60b420ebc97e7621a0af25e6c06e43097f64"),
+        (1744, 1219, "f19a3dda0fb13334b1d13b2d502bfcba40c0aaeb9a954af446507968a4e0215f"),
+        (1752, 1116, "91fa7c6df3728fcf931f7dce921bd133b82aea4b1cca6a91a337ffc097143264"),
+    ]
+
+    def test_tpl_bend_c4_clusters(self):
+        template, image, K, matches = bent_instance(ratio=0.3, seed=2, n=225)
+        cfg = TemplateMatchConfig(edges_per_point_cap=100, clusters=4)
+        mt, mi = template[matches.pairs[:, 0]], image[matches.pairs[:, 1]]
+        partition = kmeans_partition(mt, cfg.clusters, cfg.seed)
+        for c, (triangles, edges, digest) in enumerate(self.PINNED):
+            idx = partition.members(c)
+            graph = build_triangle_graph(mt[idx], mi[idx], K, cfg, match_ids=np.arange(len(idx)))
+            h = hashlib.sha256()
+            for part in (graph.vertices, graph.edges, graph.theta):
+                h.update(np.ascontiguousarray(part).tobytes())
+            assert (graph.num_vertices, graph.num_edges, h.hexdigest()) == (triangles, edges, digest)
 
 
 class TestLocalFiltering:
