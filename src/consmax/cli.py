@@ -2,8 +2,10 @@
 
 Subcommands: ``synth`` (generate benchmark instances), ``match-shapes``
 (isometric shape-to-shape filtering), ``match-template`` (template-to-image
-filtering), ``bench`` (seed/ratio sweeps). Exit codes: 0 success, 2
-malformed input, 3 budget exhausted without an optimality certificate.
+filtering), ``bench`` (seed/ratio sweeps). Exit codes: 0 success, 1 any
+other consmax error (for example every cluster skipped, or matches outside
+the shapes), 2 malformed input, 3 budget exhausted without an optimality
+certificate.
 """
 
 from __future__ import annotations

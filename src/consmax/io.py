@@ -15,6 +15,7 @@ Formats (all ASCII, written canonically so emit-then-parse is the identity):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -186,6 +187,8 @@ def parse_points(path, dim: Optional[int] = None) -> np.ndarray:
             rows.append([float(x) for x in parts])
         except ValueError:
             raise MalformedInput("bad coordinate", str(path), lineno) from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise MalformedInput("non-finite coordinate", str(path), lineno)
         if rows and len(rows[-1]) != len(rows[0]):
             raise MalformedInput("inconsistent coordinate count", str(path), lineno)
     return np.asarray(rows, dtype=np.float64)

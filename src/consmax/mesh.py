@@ -8,6 +8,7 @@ k-nearest-neighbour graph instead (k=8).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -171,6 +172,8 @@ def _parse_obj(text: str, path: str) -> TriMesh:
                 verts.append([float(x) for x in parts[1:4]])
             except ValueError:
                 raise MalformedInput("bad vertex coordinate", path, lineno) from None
+            if not all(map(math.isfinite, verts[-1])):
+                raise MalformedInput("non-finite vertex coordinate", path, lineno)
         elif parts[0] == "f":
             if len(parts) != 4:
                 raise MalformedInput("only triangular faces supported", path, lineno)
@@ -184,6 +187,8 @@ def _parse_obj(text: str, path: str) -> TriMesh:
                 if i < 1:
                     raise MalformedInput("face indices must be positive (1-based)", path, lineno)
                 idx.append(i - 1)
+            if len(set(idx)) != 3:
+                raise MalformedInput("face repeats a vertex", path, lineno)
             faces.append(idx)
         # other records (vn, vt, o, g, s, usemtl ...) are ignored
     if not verts:
@@ -247,9 +252,12 @@ def _parse_ply(text: str, path: str) -> TriMesh:
         lineno, ln = body[k]
         parts = ln.split()
         try:
-            verts[k] = [float(parts[ix]), float(parts[iy]), float(parts[iz])]
+            xyz = [float(parts[ix]), float(parts[iy]), float(parts[iz])]
         except (ValueError, IndexError):
             raise MalformedInput("bad vertex line", path, lineno) from None
+        if not all(map(math.isfinite, xyz)):
+            raise MalformedInput("non-finite vertex coordinate", path, lineno)
+        verts[k] = xyz
     faces = []
     for k in range(n_face or 0):
         lineno, ln = body[n_vert + k]
@@ -265,6 +273,8 @@ def _parse_ply(text: str, path: str) -> TriMesh:
             raise MalformedInput("only triangular faces supported", path, lineno)
         if min(idx) < 0 or max(idx) >= n_vert:
             raise MalformedInput("face index out of range", path, lineno)
+        if len(set(idx)) != 3:
+            raise MalformedInput("face repeats a vertex", path, lineno)
         faces.append(idx)
     return TriMesh(
         vertices=verts, triangles=np.asarray(faces, dtype=np.int64).reshape(-1, 3)

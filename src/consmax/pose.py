@@ -1,25 +1,25 @@
 """Absolute-pose machinery: batched P3P, rotation distance, pose agreement.
 
-The P3P solver follows the classical distance-ratio formulation: the law of
-cosines between the three viewing rays reduces to a quartic in the ratio of
-two unknown point depths. ``p3p_batch`` solves many triangles in one pass,
+The P3P solver is Lambda Twist (Persson & Nordberg, ECCV 2018): the law of
+cosines between the three viewing rays gives two homogeneous quadratic
+forms in the point depths, one real root of a cubic makes a combination of
+them split into two planes, and on each plane the other form is a
+quadratic in one ratio. ``p3p_batch`` solves many triangles in one pass,
 one array row per triangle or per candidate pose:
 
-- the quartic coefficients are arrays, and the roots are the eigenvalues of
-  stacked companion matrices, built as ``np.roots`` builds them;
-- root polishing (a multiplicity-tolerant Newton iteration), the ``v``/``u``
-  branch checks and depth recovery are masked array operations;
-- every surviving depth triple becomes a pose by rigid alignment (stacked
+- the cubic's roots are the eigenvalues of stacked companion matrices,
+  polished by Newton steps; the planes come from one stacked symmetric
+  eigendecomposition; the quadratics and the depth scaling are array
+  operations;
+- every positive depth triple becomes a pose by rigid alignment (stacked
   SVD), is refined against the bearings by Gauss-Newton on stacked
-  Jacobians, where each row stops where a one-triangle solve would stop,
-  and passes the reprojection, rotation and duplicate gates row by row.
+  Jacobians, and passes the reprojection, rotation and duplicate gates.
 
 Stacked BLAS and LAPACK calls treat each small matrix as a single call
-does, and row dot products go through the same BLAS ``ddot``, so a row's
-poses have the same bits whichever rows share its batch. Degenerate
-configurations on the danger cylinder (where pose solutions collide) get an
-extra second-order polish, one row at a time. ``p3p_solve`` and
-``pose_agreement`` are one-item wrappers over ``p3p_batch`` and
+does, so a row's poses have the same bits whichever rows share its batch.
+Degenerate configurations on the danger cylinder (where pose solutions
+collide) get an extra second-order polish, one row at a time. ``p3p_solve``
+and ``pose_agreement`` are one-item wrappers over ``p3p_batch`` and
 ``pose_agreement_batch``.
 """
 
@@ -51,6 +51,8 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
+            raise InvalidArgument("intrinsics must be finite")
         if not (self.fx > 0 and self.fy > 0):
             raise InvalidArgument("focal lengths must be positive")
 
@@ -154,12 +156,8 @@ def _acos_clamped(c) -> np.ndarray:
 
 
 def _dot(a, b) -> np.ndarray:
-    """``a[i] @ b[i]`` over the last axis, for every leading index ``i``.
-
-    The stacked ``(1, k) @ (k, 1)`` products go through BLAS ``ddot`` one
-    pair at a time, as a single vector ``@`` does, so the bits equal those of
-    one-vector calls (an elementwise multiply-and-sum rounds differently).
-    """
+    """``a[i] @ b[i]`` over the last axis, for every leading index ``i``, with
+    the bits of one-vector ``@`` calls (BLAS ``ddot``)."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -196,82 +194,6 @@ def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     V, Ut = Vt.transpose(0, 2, 1), U.transpose(0, 2, 1)
     R = V @ _diag_sign(np.sign(np.linalg.det(V @ Ut))) @ Ut
     return R, cd - (R @ cs[:, :, None])[:, :, 0]
-
-
-def _polymul(a, b) -> np.ndarray:
-    """Row-wise ``np.polymul(a[i], b[i])``, left-padded with zeros to
-    ``len(a[i]) + len(b[i]) - 1`` coefficients, with the same bits.
-
-    ``np.polymul`` drops leading zeros, then ``np.convolve`` puts the longer
-    factor first and sums the end coefficients with BLAS ``ddot`` and the
-    full-overlap ones left to right. Both sums are reproduced for every row
-    at once; a row with a leading zero changes those splits and takes
-    ``np.polymul`` itself.
-    """
-    a0 = a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b0 = b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if b.shape[1] > a.shape[1]:
-        a, b = b, a
-    la, lb = a.shape[1], b.shape[1]
-    br = b[:, ::-1].copy()  # np.convolve reverses into a copy as well
-    out = np.empty((len(a), la + lb - 1))
-    for k in range(lb - 1):
-        out[:, k] = _dot(a[:, : k + 1], br[:, lb - 1 - k:])
-        out[:, la + k] = _dot(a[:, la - lb + 1 + k:], br[:, : lb - 1 - k])
-    for i in range(la - lb + 1):
-        acc = a[:, i] * br[:, 0]
-        for j in range(1, lb):
-            acc = acc + a[:, i + j] * br[:, j]
-        out[:, lb - 1 + i] = acc
-    for i in np.nonzero((a0[:, 0] == 0.0) | (b0[:, 0] == 0.0))[0]:
-        p = np.polymul(a0[i], b0[i])
-        out[i] = 0.0
-        out[i, out.shape[1] - len(p):] = p
-    return out
-
-
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for j in range(coeffs.shape[1]):
-        acc = acc * x + coeffs[:, j]
-    return acc
-
-
-def _quartic_roots(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``np.roots``: (n, 4) complex roots and a mask of the ones
-    that exist. Rows with a zero first or last coefficient (a lower degree
-    or a root at 0) take ``np.roots`` itself; the others get the companion
-    matrix it builds, and one stacked ``eigvals`` call."""
-    roots = np.zeros(p.shape[:1] + (4,), dtype=np.complex128)
-    exists = np.ones(roots.shape, dtype=bool)
-    plain = np.nonzero((p[:, 0] != 0.0) & (p[:, -1] != 0.0))[0]
-    A = np.zeros((len(plain), 4, 4))
-    A[:, 1, 0] = A[:, 2, 1] = A[:, 3, 2] = 1.0
-    A[:, 0, :] = -p[plain, 1:] / p[plain, :1]
-    roots[plain] = np.linalg.eigvals(A)
-    for i in np.setdiff1d(np.arange(len(p)), plain):
-        r = np.roots(p[i])
-        roots[i, : len(r)] = r
-        exists[i, len(r):] = False
-    return roots, exists
-
-
-def _polish_roots(coeffs: np.ndarray, x: np.ndarray, iters: int = 3) -> np.ndarray:
-    """Newton iteration on P/P', whose roots are simple even when P has a
-    multiple root (companion eigenvalues of a triple root scatter by the
-    cube root of the rounding error, so plain Newton cannot recover). A row
-    stops at a zero or non-finite denominator or step."""
-    d1 = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)  # np.polyder
-    d2 = d1[:, :-1] * np.arange(d1.shape[1] - 1, 0, -1)
-    live = np.ones(len(x), dtype=bool)
-    for _ in range(iters):
-        p, p1, p2 = _horner(coeffs, x), _horner(d1, x), _horner(d2, x)
-        denom = p1 * p1 - p * p2
-        live &= (denom != 0.0) & np.isfinite(denom)
-        step = p * p1 / denom
-        live &= np.isfinite(step)
-        x = np.where(live, x - step, x)
-    return x
 
 
 def _orthonormalize(R: np.ndarray) -> np.ndarray:
@@ -392,10 +314,11 @@ def _gauss_newton(R, t, P, F, iters: int):
 def _refine_pose(R, t, P, F, iters: int = 40):
     """Gauss-Newton on the bearing residuals ``normalize(R P + t) - F``.
 
-    The quartic path loses accuracy near multiple roots (the cosines round
-    when the quartic is formed); polishing against the original bearings
-    restores machine precision. Rank-deficient rows get a second-order
-    polish on top, one row at a time.
+    The depth triples lose accuracy near multiple solutions, where the
+    planes and quadratics of ``_lambda_twist`` are ill-conditioned;
+    polishing against the original bearings restores machine precision.
+    Rank-deficient rows get a second-order polish on top, one row at a
+    time.
     """
     R, t, deficient = _gauss_newton(R, t, P, F, iters)
     # one orthonormalization at the end instead of per step
@@ -516,14 +439,11 @@ def p3p_batch(points3d, bearings):
             0,
         ).astype(np.uint8)
         lanes = np.nonzero(degenerate == 0)[0]
-        # libm ``pow``, as the scalar ``side ** 2`` uses, rounds some squares
-        # differently from the ``x * x`` that an array ``** 2`` computes
-        sq = np.array([x ** 2 for x in sides[lanes].ravel().tolist()]).reshape(-1, 3)
         found = []
         for start in range(0, max(len(lanes), 1), _BATCH_ROWS):
-            part = slice(start, start + _BATCH_ROWS)
-            lane, R, t = _p3p_poses(P[lanes[part]], F[lanes[part]], sq[part], cos[lanes[part]])
-            found.append((lanes[part][lane], R, t))
+            part = lanes[start:start + _BATCH_ROWS]
+            lane, R, t = _p3p_poses(P[part], F[part], sides[part], cos[part])
+            found.append((part[lane], R, t))
     row, R, t = (np.concatenate(x) for x in zip(*found))
     counts = np.bincount(row, minlength=n)
     rank = np.arange(len(row)) - np.searchsorted(row, row)
@@ -534,67 +454,87 @@ def p3p_batch(points3d, bearings):
     return rotations, translations, counts, degenerate
 
 
-def _p3p_poses(P, F, sq, cos):
+def _lambda_twist(sides, cos) -> np.ndarray:
+    """Candidate depth triples of non-degenerate rows, (n, 4, 3); a
+    candidate with a nonpositive or NaN depth is no solution.
+
+    ``L' M[:, k] L`` is the squared distance between the points at depths
+    ``L`` on the bearings at the ends of side ``k`` (in ``triangle_extent``
+    order), so ``L' M[:, k] L = a[:, k]`` for the squared sides ``a``, here
+    scaled so that the longest is 1. Two homogeneous conics follow,
+    ``L' D1 L = L' D2 L = 0``. A real root ``g`` of the cubic
+    ``det(D1 + g D2)`` makes ``D0 = D1 + g D2`` singular, so ``L' D0 L = 0``
+    splits into two planes through the origin. On each plane ``L' D2 L = 0``
+    is a quadratic in one ratio, and the longest side fixes the scale.
+    """
+    n = len(sides)
+    diam = sides.max(axis=1)
+    a = (sides / diam[:, None]) ** 2
+    M = np.zeros((n, 3, 3, 3))
+    for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+        M[:, k, i, i] = M[:, k, j, j] = 1.0
+        M[:, k, i, j] = M[:, k, j, i] = -cos[:, 2 - k]
+    D1 = a[:, 0, None, None] * M[:, 2] - a[:, 2, None, None] * M[:, 0]
+    D2 = a[:, 0, None, None] * M[:, 1] - a[:, 1, None, None] * M[:, 0]
+
+    # det(D1 + g D2) = c3 g^3 + c2 g^2 + c1 g + c0: the largest real root,
+    # from stacked companion matrices, then Newton steps
+    C1, C2 = (np.cross(D[:, [1, 2, 0]], D[:, [2, 0, 1]]) for D in (D1, D2))  # cofactors
+    c = np.stack([
+        _dot(D2[:, 0], C2[:, 0]),
+        _dot(C2.reshape(n, 9), D1.reshape(n, 9)),
+        _dot(C1.reshape(n, 9), D2.reshape(n, 9)),
+        _dot(D1[:, 0], C1[:, 0]),
+    ], axis=1)
+    companion = np.zeros((n, 3, 3))
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    companion[:, 0] = -c[:, 1:] / c[:, :1]
+    finite = np.isfinite(companion).all(axis=(1, 2))
+    roots = np.linalg.eigvals(companion[finite])
+    pick = np.argmax(np.where(np.imag(roots) == 0.0, np.abs(roots), -1.0), axis=1)
+    g = np.full(n, np.inf)  # det(D2) = 0: D2 itself is singular
+    g[finite] = np.real(roots)[np.arange(len(pick)), pick]
+    c3, c2, c1, c0 = c.T
+    for _ in range(3):
+        step = (((c3 * g + c2) * g + c1) * g + c0) / ((3.0 * c3 * g + 2.0 * c2) * g + c1)
+        g = np.where(np.isfinite(step), g - step, g)
+    # D0 = x D1 + y D2 with (x, y) the unit vector along (1, g). On the
+    # planes of D0, L' (x D2 - y D1) L = L' D2 L / x, which does not cancel
+    # when g is large and still holds for g = inf
+    x, y = np.where(np.isfinite(g), 1.0, 0.0), np.where(np.isfinite(g), g, 1.0)
+    x, y = (np.stack([x, y]) / np.hypot(x, y))[:, :, None, None]
+    D0, Dq = x * D1 + y * D2, x * D2 - y * D1
+
+    # D0 = sum(s[k] e[k] e[k]'), s[0] the null eigenvalue: L' D0 L = 0 on
+    # the planes spanned by e[0] and sqrt|s[2]| e[1] +- sqrt|s[1]| e[2]
+    s, E = np.linalg.eigh(D0)
+    order = np.argsort(np.abs(s), axis=1)
+    s, E = np.take_along_axis(s, order, 1), np.take_along_axis(E, order[:, None, :], 2)
+    e1 = np.sqrt(np.abs(s[:, 2, None])) * E[:, :, 1]
+    e2 = np.sqrt(np.abs(s[:, 1, None])) * E[:, :, 2]
+    U, v = np.stack([e1 + e2, e1 - e2], axis=1), E[:, None, :, 0]
+    # L = p U + r v with A p^2 + 2 B p r + C r^2 = 0: (p, r) = (q, A) or (C, q).
+    # A discriminant above -1e-8 of its scale is a rounded double root (exact
+    # danger-cylinder inputs give down to -1e-10)
+    A, B, C = _dot(U @ Dq, U), _dot(U @ Dq, v), _dot(v @ Dq, v)
+    disc = B * B - A * C
+    disc = np.where((disc < 0.0) & (disc >= -1e-8 * (B * B + np.abs(A * C))), 0.0, disc)
+    q = -(B + np.copysign(np.sqrt(disc), B))
+    L = np.concatenate([q[..., None] * U + A[..., None] * v, C[..., None] * U + q[..., None] * v], axis=1)
+
+    # scale each triple so that the longest side has its length
+    Mk = M[np.arange(n), np.argmax(sides, axis=1)]
+    scale = diam[:, None] / np.sqrt(_dot(L @ Mk, L))
+    return L * (np.sign(L.sum(axis=2)) * scale)[..., None]
+
+
+def _p3p_poses(P, F, sides, cos):
     """P3P poses of non-degenerate rows, as ``(row, R, t)`` arrays sorted by
     row and, within a row, in ``p3p_solve`` order."""
-    a2, b2, c2 = sq[:, 0], sq[:, 1], sq[:, 2]
-    cos_gamma, cos_beta, cos_alpha = cos[:, 0], cos[:, 1], cos[:, 2]
-    A1 = (a2 - c2) / b2
-    # u = N(v) / D(v) from eliminating the a- and c-equations
-    N = np.stack([1.0 - A1, 2.0 * A1 * cos_beta, -(1.0 + A1)], axis=1)
-    D = np.stack([2.0 * cos_alpha, -2.0 * cos_gamma], axis=1)
-    # quadratic in u from the c-equation: u^2 - 2 cos(gamma) u + Q(v) = 0
-    ratio = c2 / b2
-    Q = np.stack([-ratio, 2.0 * ratio * cos_beta, 1.0 - ratio], axis=1)
-    ND = (2.0 * cos_gamma)[:, None] * _polymul(N, D)
-    quartic = _polymul(N, N) - np.concatenate([np.zeros((len(N), 1)), ND], axis=1)
-    quartic = quartic + _polymul(Q, _polymul(D, D))
-    lead = np.abs(quartic).max(axis=1)
-    usable = np.nonzero(~(lead <= 0.0) & np.isfinite(lead))[0]
-    quartic = quartic[usable] / lead[usable, None]
-    roots, exists = _quartic_roots(quartic)
-
-    m = len(usable)
-    ca, cb, cg = cos_alpha[usable], cos_beta[usable], cos_gamma[usable]
-    a2, b2 = a2[usable], b2[usable]
-    N, D, Q = N[usable], D[usable], Q[usable]
-    seen = np.zeros((m, 4))
-    seen_ok = np.zeros((m, 4), dtype=bool)
-    slot_ok = np.zeros((m, 8), dtype=bool)
-    depths = np.zeros((m, 8, 3))
-    for k in range(4):
-        z = roots[:, k]
-        # near-real roots only; clustered multiple roots may carry imaginary
-        # parts up to the cube root of machine epsilon, so be permissive and
-        # let the residual and reprojection gates reject impostors
-        ok = exists[:, k] & ~(np.abs(z.imag) > 1e-2 * (1.0 + np.abs(z.real)))
-        v = _polish_roots(quartic, z.real.copy())
-        ok &= ~(v <= 0.0)
-        for j in range(k):
-            ok &= ~(seen_ok[:, j] & (np.abs(v - seen[:, j]) <= 1e-9 * (1.0 + np.abs(seen[:, j]))))
-        seen[:, k], seen_ok[:, k] = v, ok
-        denom = 1.0 + v * v - 2.0 * v * cb
-        ok &= ~(denom <= 1e-15)
-        s1 = np.sqrt(b2 / denom)
-        dv = _horner(D, v)
-        single = np.abs(dv) > 1e-9
-        disc = cg * cg - _horner(Q, v)
-        rt = np.sqrt(disc)
-        pair = ok & ~single & ~(disc < 0.0)
-        us = ((np.where(single, _horner(N, v) / dv, cg + rt), ok & (single | pair)), (cg - rt, pair))
-        for j, (u, live) in enumerate(us):
-            # the eliminated a-equation must hold as well
-            resid = u * u + v * v - 2.0 * u * v * ca - a2 / b2 * denom
-            uv = u * u + v * v
-            slot_ok[:, 2 * k + j] = (
-                live & ~(u <= 0.0) & ~(np.abs(resid) > 1e-5 * np.where(uv > 1.0, uv, 1.0))
-            )
-            depths[:, 2 * k + j] = np.stack([s1, u * s1, v * s1], axis=1)
-
-    row, slot = np.nonzero(slot_ok)
-    lane = usable[row]
+    depths = _lambda_twist(sides, cos)
+    lane, slot = np.nonzero((depths > 0.0).all(axis=2))
     Pc, Fc = P[lane], F[lane]
-    R, t = _kabsch(Pc, depths[row, slot][:, :, None] * Fc)
+    R, t = _kabsch(Pc, depths[lane, slot][:, :, None] * Fc)
     R, t = _refine_pose(R, t, Pc, Fc)
     X = Pc @ R.transpose(0, 2, 1) + t[:, None, :]
     along = (X * Fc).sum(axis=2)
@@ -648,8 +588,8 @@ def p3p_solve(points3d, bearings) -> list[Pose]:
     -------
     list of Pose
         At most four poses; each reprojects the three points onto their
-        bearings within 1e-6 angular error. An empty list means the quartic
-        has no usable real root (not an error).
+        bearings within 1e-6 angular error. An empty list means there is no
+        real solution with positive depths (not an error).
     """
     P = np.asarray(points3d, dtype=np.float64).reshape(1, 3, 3)
     F = np.asarray(bearings, dtype=np.float64).reshape(1, 3, 3)

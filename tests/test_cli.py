@@ -52,6 +52,13 @@ def tpl36_dir(tmp_path_factory):
     return d
 
 
+# a three-vertex, one-face PLY header; the body starts on line 10
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\nproperty double y\n"
+    "property double z\nelement face 1\nproperty list uchar int vertex_indices\nend_header\n"
+)
+
+
 def template_args(d, *extra):
     return [
         "match-template",
@@ -61,6 +68,10 @@ def template_args(d, *extra):
         "--matches", str(d / "matches.txt"),
         *extra,
     ]
+
+
+def replace_file(args, old, new):
+    return [str(new) if a == str(old) else a for a in args]
 
 
 def sha256(path):
@@ -133,6 +144,30 @@ class TestMatchShapes:
         )
         assert code == 2
         assert f"{bad}:3: negative element count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,body,line,message",
+        [
+            ("nan.obj", "v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n", 2, "non-finite vertex coordinate"),
+            ("repeat.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 3\n", 4, "face repeats a vertex"),
+            ("inf.ply", PLY_HEADER + "0 0 0\ninf 0 0\n0 1 0\n3 0 1 2\n", 11, "non-finite vertex coordinate"),
+            ("repeat.ply", PLY_HEADER + "0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n", 13, "face repeats a vertex"),
+        ],
+        ids=["nan-obj", "repeat-obj", "inf-ply", "repeat-ply"],
+    )
+    def test_bad_mesh_values_exit_2(self, iso_dir, tmp_path, capsys, name, body, line, message):
+        bad = tmp_path / name
+        bad.write_text(body)
+        code = run_cli(
+            [
+                "match-shapes",
+                "--source", str(bad),
+                "--target", str(iso_dir / "target.obj"),
+                "--matches", str(iso_dir / "matches.txt"),
+            ]
+        )
+        assert code == 2
+        assert f"{bad}:{line}: {message}" in capsys.readouterr().err
 
     def test_missing_source_exit_2(self, iso_dir, tmp_path, capsys):
         missing = tmp_path / "absent.obj"
@@ -266,6 +301,28 @@ class TestMatchTemplate:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"fx": 800, "fy": 800, "cx": Infinity, "cy": 240}', '{"fx": Infinity, "fy": 800, "cx": 320, "cy": 240}'],
+        ids=["cx", "fx"],
+    )
+    def test_non_finite_intrinsics_exit_2(self, tpl_dir, tmp_path, capsys, text):
+        # json.loads accepts Infinity and NaN
+        bad = tmp_path / "K.json"
+        bad.write_text(text)
+        code = run_cli(replace_file(template_args(tpl_dir), tpl_dir / "intrinsics.json", bad))
+        assert code == 2
+        assert "intrinsics must be finite" in capsys.readouterr().err
+
+    def test_non_finite_image_point_exit_2(self, tpl_dir, tmp_path, capsys):
+        lines = (tpl_dir / "image_points.txt").read_text().splitlines()
+        lines[2] = "inf 240"
+        bad = tmp_path / "image_points.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli(replace_file(template_args(tpl_dir), tpl_dir / "image_points.txt", bad))
+        assert code == 2
+        assert f"{bad}:3: non-finite coordinate" in capsys.readouterr().err
 
 
 class TestBench:

@@ -126,6 +126,23 @@ class TestGraphDigests:
                 h.update(np.ascontiguousarray(part).tobytes())
             assert (graph.num_vertices, graph.num_edges, h.hexdigest()) == (triangles, edges, digest)
 
+    # criterion 7's instance as one cluster, at its edge cap and the default
+    PINNED_ONE_CLUSTER = [
+        (100, 5499, 4849, "603ed041cfefe5e8868f9bd90e534e64a960aaac360676fe681f2f665c855e82"),
+        (30, 5499, 1443, "620c36914d9a4a5c5af3acbe43031adfb79d2e4c0b8390280340e55276b57195"),
+    ]
+
+    @pytest.mark.parametrize("cap,triangles,edges,digest", PINNED_ONE_CLUSTER)
+    def test_criterion_7_one_cluster(self, cap, triangles, edges, digest):
+        template, image, K, matches = bent_instance(ratio=0.3, seed=2, n=225)
+        mt, mi = template[matches.pairs[:, 0]], image[matches.pairs[:, 1]]
+        cfg = TemplateMatchConfig(edges_per_point_cap=cap)
+        graph = build_triangle_graph(mt, mi, K, cfg, match_ids=np.arange(len(mt)))
+        h = hashlib.sha256()
+        for part in (graph.vertices, graph.edges, graph.theta):
+            h.update(np.ascontiguousarray(part).tobytes())
+        assert (graph.num_vertices, graph.num_edges, h.hexdigest()) == (triangles, edges, digest)
+
 
 class TestLocalFiltering:
     def graph(self):
