@@ -220,13 +220,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _common_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+def _run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-budget", type=float, default=300.0, help="solver seconds per cluster")
     p.add_argument("--node-budget", type=int, default=10_000_000)
+    p.add_argument("--timing", action="store_true", help="include wall times in the report (breaks byte-identical reruns)")
+
+
+def _match_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace-out", default=None, help="write solver trace CSV here")
     p.add_argument("--report-out", default=None, help="write report JSON here (default: stdout)")
-    p.add_argument("--timing", action="store_true", help="include wall times in the report (breaks byte-identical reruns)")
+    _run_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--mode", choices=("exact", "relaxed"), default="exact")
     ms.add_argument("--eps-rel", type=float, default=0.20)
     ms.add_argument("--clusters", type=int, default=None)
-    _common_solver_flags(ms)
+    _match_flags(ms)
     ms.set_defaults(func=cmd_match_shapes)
 
     mt = sub.add_parser("match-template", help="template-to-image outlier removal")
@@ -256,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     mt.add_argument("--edge-cap", type=int, default=30)
     mt.add_argument("--tau", type=float, default=0.5)
     mt.add_argument("--clusters", type=int, default=1)
-    _common_solver_flags(mt)
+    _match_flags(mt)
     mt.set_defaults(func=cmd_match_template)
 
     sy = sub.add_parser("synth", help="generate a synthetic instance")
@@ -269,13 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--out-dir", required=True)
     sy.set_defaults(func=cmd_synth)
 
-    be = sub.add_parser("bench", help="sweep outlier ratios and seeds (isometric)")
+    # no abbreviations: "--seed" would otherwise be read as "--seeds"
+    be = sub.add_parser("bench", help="sweep outlier ratios and seeds (isometric)", allow_abbrev=False)
     be.add_argument("--n", type=int, default=100)
     be.add_argument("--ratios", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
     be.add_argument("--seeds", type=int, default=5)
     be.add_argument("--modes", default="exact,relaxed")
     be.add_argument("--out-dir", required=True)
-    _common_solver_flags(be)
+    _run_flags(be)
     be.set_defaults(func=cmd_bench)
     return ap
 

@@ -11,16 +11,17 @@ one array row per triangle or per candidate pose:
   polished by Newton steps; the planes come from one stacked symmetric
   eigendecomposition; the quadratics and the depth scaling are array
   operations;
-- every positive depth triple becomes a pose by rigid alignment (stacked
-  SVD), is refined against the bearings by Gauss-Newton on stacked
-  Jacobians, and passes the reprojection, rotation and duplicate gates.
+- every positive depth triple is refined by Newton steps on the three
+  law-of-cosines equations the solver started from; a double root, where
+  pose solutions collide on the danger cylinder, gets a second-order polish
+  along the flat direction of those equations;
+- one rigid alignment (stacked SVD) per triple gives the pose, which then
+  passes the reprojection, duplicate and rotation gates.
 
 Stacked BLAS and LAPACK calls treat each small matrix as a single call
 does, so a row's poses have the same bits whichever rows share its batch.
-Degenerate configurations on the danger cylinder (where pose solutions
-collide) get an extra second-order polish, one row at a time. ``p3p_solve``
-and ``pose_agreement`` are one-item wrappers over ``p3p_batch`` and
-``pose_agreement_batch``.
+``p3p_solve`` and ``pose_agreement`` are one-item wrappers over
+``p3p_batch`` and ``pose_agreement_batch``.
 """
 
 from __future__ import annotations
@@ -196,191 +197,109 @@ def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return R, cd - (R @ cs[:, :, None])[:, :, 0]
 
 
-def _orthonormalize(R: np.ndarray) -> np.ndarray:
-    """Nearest rotations to an (n, 3, 3) stack (SVD with the determinant
-    forced to +1)."""
-    Uq, _, Vtq = np.linalg.svd(R)
-    return Uq @ _diag_sign(np.sign(np.linalg.det(Uq @ Vtq))) @ Vtq
+def _side_forms(cos) -> np.ndarray:
+    """(n, 3, 3, 3) quadratic forms: ``L' M[:, k] L`` is the squared distance
+    between the points at depths ``L`` on the unit bearings at the ends of
+    side ``k`` (in ``triangle_extent`` order), for the bearing cosines
+    ``cos`` of ``p3p_batch``."""
+    M = np.zeros((len(cos), 3, 3, 3))
+    for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
+        M[:, k, i, i] = M[:, k, j, j] = 1.0
+        M[:, k, i, j] = M[:, k, j, i] = -cos[:, 2 - k]
+    return M
 
 
-def _bearing_residual(R, t, P, F):
-    """Row-wise flattened residuals ``normalize(R P + t) - F`` (n, 9), with
-    the camera-frame points, their norms and a mask of the rows whose points
-    all stay away from the centre."""
-    X = P @ R.transpose(0, 2, 1) + t[:, None, :]
-    norms = np.sqrt((X * X).sum(axis=2))
-    ok = ~(norms <= 1e-12).any(axis=1)
-    return (X / norms[:, :, None] - F).reshape(len(X), 9), X, norms, ok
+def _side_equations(L, M, a):
+    """Residuals ``L' M[:, k] L - a[:, k]`` (m, 3) of depth triples ``L``
+    and their Jacobians ``2 M[:, k] L`` (m, 3, 3), one row per equation."""
+    ML = (M @ L[:, None, :, None])[..., 0]
+    return _dot(ML, L[:, None, :]) - a, 2.0 * ML
 
 
-def _bearing_jacobian(X, norms, t):
-    """(n, 9, 6) Jacobians of the bearing residuals with respect to a
-    rotation increment applied on the left and to the translation."""
-    n = len(X)
-    U = X / norms[:, :, None]
-    proj = (np.eye(3) - U[:, :, :, None] * U[:, :, None, :]) / norms[:, :, None, None]
-    W = X - t[:, None, :]
-    skews = np.zeros((n, 3, 3, 3))
-    skews[:, :, 0, 1] = -W[:, :, 2]
-    skews[:, :, 0, 2] = W[:, :, 1]
-    skews[:, :, 1, 0] = W[:, :, 2]
-    skews[:, :, 1, 2] = -W[:, :, 0]
-    skews[:, :, 2, 0] = -W[:, :, 1]
-    skews[:, :, 2, 1] = W[:, :, 0]
-    J = np.empty((n, 3, 3, 6))
-    J[..., :3] = -proj @ skews
-    J[..., 3:] = proj
-    return J.reshape(n, 9, 6)
+def _newton_step(J, r):
+    """``J^-1 r`` for every row, by cofactors; a singular ``J`` gives a
+    non-finite step instead of an error."""
+    C = np.cross(J[:, [1, 2, 0]], J[:, [2, 0, 1]])  # columns of det(J) J^-1
+    return (r[:, None, :] @ C)[:, 0] / _dot(J[:, 0], C[:, 0])[:, None]
 
 
-def _apply_step(R, t, delta):
-    """Rotate every ``R`` on the left by the axis-angle vector
-    ``delta[:, :3]`` (Rodrigues) and shift ``t`` by ``delta[:, 3:]``."""
-    w = delta[:, :3]
-    angle = np.sqrt(_dot(w, w))
-    R = R.copy()
-    turn = np.nonzero(angle > 0.0)[0]
-    if turn.size:
-        a = angle[turn]
-        u = w[turn] / a[:, None]
-        K = np.zeros((turn.size, 3, 3))
-        K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -u[:, 2], u[:, 1], -u[:, 0]
-        K[:, 1, 0], K[:, 2, 0], K[:, 2, 1] = u[:, 2], -u[:, 1], u[:, 0]
-        rot = np.eye(3) + np.sin(a)[:, None, None] * K + (1.0 - np.cos(a))[:, None, None] * (K @ K)
-        R[turn] = rot @ R[turn]
-    return R, t + delta[:, 3:]
-
-
-def _solve(A, b):
-    """Stacked ``np.linalg.solve``; rows with a singular matrix get NaN."""
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for i in range(len(A)):
-            try:
-                out[i] = np.linalg.solve(A[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _gauss_newton(R, t, P, F, iters: int):
-    """Minimize every row's bearing residual; returns ``(R, t, rank_deficient)``.
-
-    A row stops at a residual below 1e-16, at a singular or non-finite step,
-    at a step that raises the residual (not taken) and after a step shorter
-    than 1e-16. ``rank_deficient`` flags a degenerate bearing Jacobian at the
-    row's last linearization point. Rows with a point at the camera centre
-    are left as they are.
+def _refine_depths(L, M, a):
+    """Newton on the three side equations of every depth triple, at most ten
+    steps; a row stops at a step that does not lower its residual (the step
+    is not taken). The depths of ``_lambda_twist`` lose accuracy near multiple
+    solutions, where its planes and quadratics are ill-conditioned; these
+    steps restore them against the original equations. Rows whose Jacobian
+    is still rank-deficient at the end (a double root, on the danger
+    cylinder) get ``_null_direction_polish``.
     """
-    R, t = R.copy(), t.copy()
-    r, X, norms, ok = _bearing_residual(R, t, P, F)
-    J = np.empty((len(R), 9, 6))
-    linearized = np.zeros(len(R), dtype=bool)
-    live = ok.copy()
-    for _ in range(iters):
-        live &= ~(np.abs(r).max(axis=1) < 1e-16)
-        rows = np.nonzero(live)[0]
-        if rows.size == 0:
+    L = L.copy()
+    r, J = _side_equations(L, M, a)
+    live = np.arange(len(L))
+    for _ in range(10):
+        if live.size == 0:
             break
-        Jr = J[rows] = _bearing_jacobian(X[rows], norms[rows], t[rows])
-        linearized[rows] = True
-        Jt = Jr.transpose(0, 2, 1)
-        JtJ = Jt @ Jr
-        g = Jt @ r[rows][:, :, None]
-        damp = (1e-14 * np.trace(JtJ, axis1=1, axis2=2))[:, None, None] * np.eye(6)
-        delta = -_solve(JtJ + damp, g)[:, :, 0]
-        live[rows] = False
-        finite = np.isfinite(delta).all(axis=1)
-        rows, delta = rows[finite], delta[finite]
-        R_new, t_new = _apply_step(R[rows], t[rows], delta)
-        r_new, X_new, norms_new, ok_new = _bearing_residual(R_new, t_new, P[rows], F[rows])
-        better = ok_new & ~(_dot(r_new, r_new) > _dot(r[rows], r[rows]))
-        took = rows[better]
-        R[took], t[took], r[took] = R_new[better], t_new[better], r_new[better]
-        X[took], norms[took] = X_new[better], norms_new[better]
-        live[took[~(_dot(delta[better], delta[better]) < 1e-32)]] = True
-    late = np.nonzero(ok & ~linearized)[0]
-    J[late] = _bearing_jacobian(X[late], norms[late], t[late])
-    deficient = np.zeros(len(R), dtype=bool)
-    rows = np.nonzero(ok)[0]
-    evals = np.linalg.eigvalsh(J[rows].transpose(0, 2, 1) @ J[rows])
-    top = evals[:, -1]
-    deficient[rows] = evals[:, 0] < 1e-10 * np.where(1e-300 > top, 1e-300, top)
-    return R, t, deficient
+        L_new = L[live] - _newton_step(J[live], r[live])
+        r_new, J_new = _side_equations(L_new, M[live], a[live])
+        better = _dot(r_new, r_new) < _dot(r[live], r[live])
+        live = live[better]
+        L[live], r[live], J[live] = L_new[better], r_new[better], J_new[better]
+    s = np.linalg.svd(J, compute_uv=False)
+    flat = np.nonzero(s[:, -1] <= 1e-5 * s[:, 0])[0]
+    L[flat] = _null_direction_polish(L[flat], M[flat], a[flat])
+    return L
 
 
-def _refine_pose(R, t, P, F, iters: int = 40):
-    """Gauss-Newton on the bearing residuals ``normalize(R P + t) - F``.
+def _null_direction_polish(L, M, a):
+    """Polish depth triples along the null direction of a rank-deficient
+    Jacobian of the side equations (degenerate 'danger cylinder'
+    configurations).
 
-    The depth triples lose accuracy near multiple solutions, where the
-    planes and quadratics of ``_lambda_twist`` are ill-conditioned;
-    polishing against the original bearings restores machine precision.
-    Rank-deficient rows get a second-order polish on top, one row at a
-    time.
+    Newton stalls near sqrt(eps) there because the residual is quadratic in
+    the flat direction. Sampling the residual at +-h, where the quadratic
+    signal exceeds rounding noise, gives a step toward the true zero; the
+    step estimate contracts geometrically, so a row iterates until its steps
+    stop shrinking, or stops as soon as a step would not help.
     """
-    R, t, deficient = _gauss_newton(R, t, P, F, iters)
-    # one orthonormalization at the end instead of per step
-    R = _orthonormalize(R)
-    for i in np.nonzero(deficient)[0]:
-        one = slice(i, i + 1)
-        R[one], t[one] = _null_direction_polish(R[one], t[one], P[one], F[one])
-    return R, t
-
-
-def _null_direction_polish(R, t, P, F, rounds: int = 16):
-    """Polish along a rank-deficient direction of the bearing Jacobian
-    (degenerate 'danger cylinder' configurations), for one-row stacks.
-
-    Gauss-Newton stalls near sqrt(eps) there because the residual is
-    quadratic in the flat direction. Sampling the residual at +-h, where the
-    quadratic signal exceeds rounding noise, gives a step toward the true
-    zero; the step estimate contracts geometrically, so iterate until the
-    steps stop shrinking.
-    """
-    prev_alpha = np.inf
-    for _ in range(rounds):
-        r0, X, norms, ok = _bearing_residual(R, t, P, F)
-        if not ok[0]:
-            return R, t
-        _, svals, Vt = np.linalg.svd(_bearing_jacobian(X, norms, t))
-        if svals[0, -1] > 1e-5 * svals[0, 0]:
-            return R, t  # full rank: GN already did its job
+    L = L.copy()
+    prev_alpha = np.full(len(L), np.inf)
+    live = np.arange(len(L))
+    for _ in range(16):
+        if live.size == 0:
+            break
+        Ll, Ml, al = L[live], M[live], a[live]
+        r0, J = _side_equations(Ll, Ml, al)
+        _, s, Vt = np.linalg.svd(J)
         n = Vt[:, -1]
-        h = 1e-5 * max(1.0, float(np.linalg.norm(t)))
-        rp, _, _, ok_p = _bearing_residual(*_apply_step(R, t, h * n), P, F)
-        rm, _, _, ok_m = _bearing_residual(*_apply_step(R, t, -h * n), P, F)
-        if not (ok_p[0] and ok_m[0]):
-            return R, t
+        h = 1e-5 * np.maximum(1.0, _norm(Ll))
+        rp = _side_equations(Ll + h[:, None] * n, Ml, al)[0]
+        rm = _side_equations(Ll - h[:, None] * n, Ml, al)[0]
         d = rp + rm - 2.0 * r0  # ~ 2*kappa*h^2 along the curvature direction
-        dn = np.linalg.norm(d)
-        if dn < 1e-13:
-            return R, t
-        hdir = d / dn
-        s0, sp, sm = (float(_dot(hdir, x)[0]) for x in (r0, rp, rm))
+        dn = _norm(d)
+        hdir = d / dn[:, None]
+        s0, sp, sm = _dot(hdir, r0), _dot(hdir, rp), _dot(hdir, rm)
         kappa_2h2 = sp + sm - 2.0 * s0
-        if kappa_2h2 <= 0.0:
-            return R, t
         alpha = (sm - sp) * h / (2.0 * kappa_2h2)
-        if not np.isfinite(alpha) or abs(alpha) > 10.0 * h:
-            return R, t
-        if abs(alpha) < 1e-13 or abs(alpha) >= prev_alpha:
-            return R, t
-        R_new, t_new = _apply_step(R, t, alpha * n)
-        r_new, _, _, ok_new = _bearing_residual(R_new, t_new, P, F)
+        step = np.abs(alpha)
+        L_new = Ll + alpha[:, None] * n
+        r_new = _side_equations(L_new, Ml, al)[0]
         # residual comparisons at the noise floor need an absolute slack
-        if not ok_new[0] or np.linalg.norm(r_new) > np.linalg.norm(r0) + 1e-15:
-            return R, t
-        R = _orthonormalize(R_new)
-        t = t_new
-        prev_alpha = abs(alpha)
-    return R, t
+        ok = (
+            (s[:, -1] <= 1e-5 * s[:, 0])
+            & (dn >= 1e-13)
+            & (kappa_2h2 > 0.0)
+            & (step <= 10.0 * h)
+            & (step >= 1e-13)
+            & (step < prev_alpha[live])
+            & (_norm(r_new) <= _norm(r0) + 1e-15)
+        )
+        live = live[ok]
+        L[live], prev_alpha[live] = L_new[ok], step[ok]
+    return L
 
 
-# rows per pass of the batched kernels: each P3P row holds about three
-# candidate poses of a few kilobytes of Gauss-Newton temporaries each, so
-# this bounds their memory whatever the number of triangles
+# rows per pass of the batched kernels: a P3P row holds four candidate depth
+# triples with their forms and Jacobians, an agreement row a table of pose
+# pairs, so this bounds their memory whatever the number of triangles
 _BATCH_ROWS = 256
 
 # reasons a triangle has no P3P problem, by ``p3p_batch`` degenerate code
@@ -454,26 +373,21 @@ def p3p_batch(points3d, bearings):
     return rotations, translations, counts, degenerate
 
 
-def _lambda_twist(sides, cos) -> np.ndarray:
+def _lambda_twist(sides, M) -> np.ndarray:
     """Candidate depth triples of non-degenerate rows, (n, 4, 3); a
     candidate with a nonpositive or NaN depth is no solution.
 
-    ``L' M[:, k] L`` is the squared distance between the points at depths
-    ``L`` on the bearings at the ends of side ``k`` (in ``triangle_extent``
-    order), so ``L' M[:, k] L = a[:, k]`` for the squared sides ``a``, here
-    scaled so that the longest is 1. Two homogeneous conics follow,
-    ``L' D1 L = L' D2 L = 0``. A real root ``g`` of the cubic
-    ``det(D1 + g D2)`` makes ``D0 = D1 + g D2`` singular, so ``L' D0 L = 0``
-    splits into two planes through the origin. On each plane ``L' D2 L = 0``
-    is a quadratic in one ratio, and the longest side fixes the scale.
+    With the forms ``M`` of ``_side_forms``, ``L' M[:, k] L = a[:, k]`` for
+    the squared sides ``a``, here scaled so that the longest is 1. Two
+    homogeneous conics follow, ``L' D1 L = L' D2 L = 0``. A real root ``g``
+    of the cubic ``det(D1 + g D2)`` makes ``D0 = D1 + g D2`` singular, so
+    ``L' D0 L = 0`` splits into two planes through the origin. On each
+    plane ``L' D2 L = 0`` is a quadratic in one ratio, and the longest side
+    fixes the scale.
     """
     n = len(sides)
     diam = sides.max(axis=1)
     a = (sides / diam[:, None]) ** 2
-    M = np.zeros((n, 3, 3, 3))
-    for k, (i, j) in enumerate(((1, 2), (0, 2), (0, 1))):
-        M[:, k, i, i] = M[:, k, j, j] = 1.0
-        M[:, k, i, j] = M[:, k, j, i] = -cos[:, 2 - k]
     D1 = a[:, 0, None, None] * M[:, 2] - a[:, 2, None, None] * M[:, 0]
     D2 = a[:, 0, None, None] * M[:, 1] - a[:, 1, None, None] * M[:, 0]
 
@@ -531,11 +445,12 @@ def _lambda_twist(sides, cos) -> np.ndarray:
 def _p3p_poses(P, F, sides, cos):
     """P3P poses of non-degenerate rows, as ``(row, R, t)`` arrays sorted by
     row and, within a row, in ``p3p_solve`` order."""
-    depths = _lambda_twist(sides, cos)
+    M = _side_forms(cos)
+    depths = _lambda_twist(sides, M)
     lane, slot = np.nonzero((depths > 0.0).all(axis=2))
     Pc, Fc = P[lane], F[lane]
-    R, t = _kabsch(Pc, depths[lane, slot][:, :, None] * Fc)
-    R, t = _refine_pose(R, t, Pc, Fc)
+    L = _refine_depths(depths[lane, slot], M[lane], sides[lane] ** 2)
+    R, t = _kabsch(Pc, L[:, :, None] * Fc)
     X = Pc @ R.transpose(0, 2, 1) + t[:, None, :]
     along = (X * Fc).sum(axis=2)
     lens = np.sqrt((X * X).sum(axis=2))
@@ -556,7 +471,11 @@ def _p3p_poses(P, F, sides, cos):
 
 def _first_of_duplicates(lane, R, t) -> np.ndarray:
     """Indices of the poses (sorted by lane) that repeat no earlier pose of
-    their lane within the dedup tolerance, in order."""
+    their lane within the dedup tolerance, in order.
+
+    Rotations are compared by the chord ``|Ra - Rb|_F / sqrt(2)``, which
+    equals their angle to first order; ``acos`` of the trace cannot resolve
+    angles below about 1.5e-8, more than the tolerance."""
     start = np.searchsorted(lane, lane)
     rank = np.arange(len(lane)) - start
     keep = np.ones(len(lane), dtype=bool)
@@ -564,9 +483,9 @@ def _first_of_duplicates(lane, R, t) -> np.ndarray:
         late = np.nonzero(rank == j)[0]
         for i in range(j):
             early = start[late] + i
-            ctr = (np.trace(R[early].transpose(0, 2, 1) @ R[late], axis1=1, axis2=2) - 1.0) / 2.0
+            chord = _norm((R[early] - R[late]).reshape(-1, 9)) / math.sqrt(2.0)
             gap = np.abs(t[early] - t[late]).max(axis=1)
-            dup = (_acos_clamped(ctr) <= _DEDUP_ATOL) & (
+            dup = (chord <= _DEDUP_ATOL) & (
                 gap <= _DEDUP_ATOL * (1.0 + np.abs(t[early]).max(axis=1))
             )
             keep[late[keep[early] & dup]] = False

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .core import (
@@ -78,12 +76,10 @@ def build_triangle_graph(
     image_points,
     K: CameraIntrinsics,
     config: TemplateMatchConfig = TemplateMatchConfig(),
-    match_ids=None,
 ) -> ConsensusGraph:
     """Agreement graph over match triangles (one cluster's matches).
 
-    Rows of ``template_points``/``image_points`` correspond to matches;
-    ``match_ids`` supplies their global indices (defaults to 0..k-1).
+    Row ``i`` of ``template_points``/``image_points`` is match ``i``.
     Triangle pairs sharing two matches are capped per point by seeded
     subsampling, then scored with P3P pose agreement. Degenerate triangles
     and empty P3P solution sets contribute no edge.
@@ -95,7 +91,6 @@ def build_triangle_graph(
         raise InvalidArgument("template and image point counts differ")
     if k < MIN_CLUSTER_MATCHES:
         raise TooFewMatches(f"need at least {MIN_CLUSTER_MATCHES} matches, got {k}")
-    ids = np.arange(k, dtype=np.int64) if match_ids is None else np.asarray(match_ids, dtype=np.int64)
 
     q = min(config.q, k - 1)
     d2 = ((tpts[:, None, :] - tpts[None, :, :]) ** 2).sum(axis=2)
@@ -163,22 +158,21 @@ def build_triangle_graph(
         rot[sa], trans[sa], counts[sa], rot[sb], trans[sb], counts[sb], config.eps1, config.eps2
     )
 
-    return ConsensusGraph(vertices=ids[tri], edges=edges, theta=theta, s=3)
+    return ConsensusGraph(vertices=tri, edges=edges, theta=theta, s=3)
 
 
 def local_filtering(
     graph: ConsensusGraph,
     tau: float,
     min_incident: int,
-    num_matches: Optional[int] = None,
+    num_matches: int,
 ) -> LabelVector:
-    """Voting baseline: a match is an inlier when at least ``tau`` of its
-    incident edges agree and it has at least ``min_incident`` of them."""
+    """Voting baseline over ``num_matches`` matches: a match is an inlier
+    when at least ``tau`` of its incident edges agree and it has at least
+    ``min_incident`` of them."""
     if graph.s != 3:
         raise InvalidArgument("local filtering expects a triangle graph (s=3)")
-    p = int(num_matches) if num_matches is not None else (
-        int(graph.vertices.max()) + 1 if graph.vertices.size else 0
-    )
+    p = int(num_matches)
     agree = np.zeros(p, dtype=np.int64)
     total = np.zeros(p, dtype=np.int64)
     for (a, b), th in zip(graph.edges.tolist(), graph.theta.tolist()):
@@ -221,10 +215,10 @@ def template_image_registration(
     solve = solve_exact if config.mode == "exact" else solve_relaxed
 
     def label_cluster(c, idx):
-        graph = build_triangle_graph(mt[idx], mi[idx], K, config, match_ids=np.arange(len(idx)))
+        graph = build_triangle_graph(mt[idx], mi[idx], K, config)
         program = build_covering_program(graph)
         if config.mode == "local-filter":
-            labels = local_filtering(graph, config.tau, config.min_incident_edges, num_matches=len(idx))
+            labels = local_filtering(graph, config.tau, config.min_incident_edges, len(idx))
             return program, labels, None
         result = solve(program, config.solver)
         return program, result.labels, result

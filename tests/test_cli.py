@@ -339,6 +339,13 @@ class TestBench:
         assert len(summary["rows"]) == 2
         assert all(row["optimal"] for row in summary["rows"])
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "9"), ("--trace-out", "t.csv"), ("--report-out", "r.json")])
+    def test_rejects_flags_it_would_ignore(self, tmp_path, flag, value):
+        # the sweep draws its own seeds and writes into --out-dir
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bench", "--n", "36", "--seeds", "1", "--out-dir", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+
 
 class TestGoldenReports:
     """sha256 of default-flag reports, recorded before the per-cluster loop

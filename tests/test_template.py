@@ -95,12 +95,6 @@ class TestBuildTriangleGraph:
         # theta evaluation may drop capped edges but never adds any
         assert incident.max() <= 5
 
-    def test_match_ids_remap(self):
-        template, image, K, _ = bent_instance(ratio=0.0, seed=1, n=49)
-        ids = np.arange(100, 149)
-        graph = build_triangle_graph(template, image, K, match_ids=ids)
-        assert graph.vertices.min() >= 100
-
 
 class TestGraphDigests:
     # sha256 of the (vertices, edges, theta) bytes of every cluster's graph
@@ -120,7 +114,7 @@ class TestGraphDigests:
         partition = kmeans_partition(mt, cfg.clusters, cfg.seed)
         for c, (triangles, edges, digest) in enumerate(self.PINNED):
             idx = partition.members(c)
-            graph = build_triangle_graph(mt[idx], mi[idx], K, cfg, match_ids=np.arange(len(idx)))
+            graph = build_triangle_graph(mt[idx], mi[idx], K, cfg)
             h = hashlib.sha256()
             for part in (graph.vertices, graph.edges, graph.theta):
                 h.update(np.ascontiguousarray(part).tobytes())
@@ -137,7 +131,7 @@ class TestGraphDigests:
         template, image, K, matches = bent_instance(ratio=0.3, seed=2, n=225)
         mt, mi = template[matches.pairs[:, 0]], image[matches.pairs[:, 1]]
         cfg = TemplateMatchConfig(edges_per_point_cap=cap)
-        graph = build_triangle_graph(mt, mi, K, cfg, match_ids=np.arange(len(mt)))
+        graph = build_triangle_graph(mt, mi, K, cfg)
         h = hashlib.sha256()
         for part in (graph.vertices, graph.edges, graph.theta):
             h.update(np.ascontiguousarray(part).tobytes())
@@ -184,7 +178,7 @@ class TestLocalFiltering:
             s=1,
         )
         with pytest.raises(InvalidArgument):
-            local_filtering(g, 0.5, 1)
+            local_filtering(g, 0.5, 1, num_matches=2)
 
 
 class TestTemplatePipeline:
