@@ -21,7 +21,7 @@ import numpy as np
 from . import io as cio
 from .errors import ConsmaxError, MalformedInput
 from .isometric import IsometryConfig, shape_registration_detailed
-from .mesh import load_mesh
+from .mesh import TriMesh, load_mesh
 from .solver import SolverConfig, save_trace
 from .synth import SynthSpec, synth_isometric_instance, synth_template_instance
 from .template import TemplateMatchConfig, template_image_registration
@@ -62,16 +62,19 @@ def _solver_summary(mode, labels, registration) -> dict:
     }
 
 
-def _emit(args, labels, unconstrained, solver_summary, config_echo, gt):
+def _emit(args, labels, registration, solver_summary, config_echo, gt) -> int:
+    """Write the traces and the report of a ``match-*`` run; return its exit code."""
+    _write_traces(registration.cluster_reports, args.trace_out)
     eval_report = cio.evaluate_labels(labels, gt) if gt is not None else None
     report = cio.build_report(
-        labels, unconstrained, solver_summary, config_echo, eval_report,
+        labels, registration.unconstrained, solver_summary, config_echo, eval_report,
         include_timing=args.timing,
     )
     if args.report_out:
         cio.emit_report(report, args.report_out)
     else:
         sys.stdout.write(cio.render_report(report))
+    return EXIT_BUDGET if args.mode == "exact" and not solver_summary["optimal"] else EXIT_OK
 
 
 def cmd_match_shapes(args) -> int:
@@ -98,11 +101,7 @@ def cmd_match_shapes(args) -> int:
         "mode": config.mode,
         "seed": config.seed,
     }
-    _write_traces(reports, args.trace_out)
-    _emit(args, labels, registration.unconstrained, solver_summary, config_echo, matches.gt_labels)
-    if args.mode == "exact" and not solver_summary["optimal"]:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return _emit(args, labels, registration, solver_summary, config_echo, matches.gt_labels)
 
 
 def cmd_match_template(args) -> int:
@@ -137,11 +136,7 @@ def cmd_match_template(args) -> int:
         "mode": config.mode,
         "seed": config.seed,
     }
-    _write_traces(reports, args.trace_out)
-    _emit(args, labels, registration.unconstrained, solver_summary, config_echo, matches.gt_labels)
-    if args.mode == "exact" and not solver_summary["optimal"]:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return _emit(args, labels, registration, solver_summary, config_echo, matches.gt_labels)
 
 
 def cmd_synth(args) -> int:
@@ -161,8 +156,6 @@ def cmd_synth(args) -> int:
         cio.emit_matches(matches, os.path.join(args.out_dir, "matches.txt"))
     else:
         template, image, K, matches = synth_template_instance(spec)
-        from .mesh import TriMesh
-
         cio.emit_mesh(
             TriMesh(vertices=template, triangles=np.empty((0, 3), dtype=np.int64)),
             os.path.join(args.out_dir, "template.obj"),
@@ -176,16 +169,14 @@ def cmd_synth(args) -> int:
 
 def cmd_bench(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    ratios = [float(r) for r in args.ratios.split(",")]
-    modes = args.modes.split(",")
     summary = []
-    for ratio in ratios:
+    for ratio in args.ratios:
         for seed in range(args.seeds):
             spec = SynthSpec(
                 kind="isometric-grid", n_points=args.n, outlier_ratio=ratio, seed=seed
             )
             source, target, matches = synth_isometric_instance(spec)
-            for mode in modes:
+            for mode in args.modes:
                 config = IsometryConfig(
                     mode=mode, seed=seed, solver=_solver_config(args)
                 )
@@ -218,6 +209,18 @@ def cmd_bench(args) -> int:
     cio.emit_report({"rows": summary}, os.path.join(args.out_dir, "summary.json"))
     sys.stdout.write(f"wrote {len(summary)} runs to {args.out_dir}\n")
     return EXIT_OK
+
+
+def _checked(parse, ok, what):
+    """An argparse ``type``: ``parse(text)``, refused (exit 2) unless ``ok`` accepts it."""
+    def convert(text):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return convert
 
 
 def _run_flags(p: argparse.ArgumentParser) -> None:
@@ -276,9 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations: "--seed" would otherwise be read as "--seeds"
     be = sub.add_parser("bench", help="sweep outlier ratios and seeds (isometric)", allow_abbrev=False)
     be.add_argument("--n", type=int, default=100)
-    be.add_argument("--ratios", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
-    be.add_argument("--seeds", type=int, default=5)
-    be.add_argument("--modes", default="exact,relaxed")
+    ratios = _checked(lambda t: [float(r) for r in t.split(",")], lambda rs: all(0 <= r < 1 for r in rs),
+                      "comma-separated outlier ratios in [0, 1)")
+    be.add_argument("--ratios", type=ratios, default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
+    be.add_argument("--seeds", type=_checked(int, lambda n: n >= 1, "a count of at least 1"), default=5)
+    modes = _checked(lambda t: t.split(","), lambda ms: set(ms) <= {"exact", "relaxed"},
+                     "comma-separated modes exact, relaxed")
+    be.add_argument("--modes", type=modes, default="exact,relaxed")
     be.add_argument("--out-dir", required=True)
     _run_flags(be)
     be.set_defaults(func=cmd_bench)

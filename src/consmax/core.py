@@ -137,6 +137,8 @@ class ConsensusGraph:
         if edges.shape[0] != theta.shape[0]:
             raise InvalidArgument("edges and theta must have equal length")
         if verts.size:
+            if verts.min() < 0:
+                raise InvalidArgument("match indices must be non-negative")
             rows = np.sort(verts, axis=1)
             if (rows[:, 1:] == rows[:, :-1]).any():
                 raise InvalidArgument("every vertex subset must have s distinct match indices")
@@ -168,40 +170,58 @@ class CoveringProgram:
     """The 0-1 program ``min sum(z)`` subject to ``sum(z[i] for i in C) >= 1``
     for every constraint ``C`` (one per violated edge).
 
-    ``cons_csr`` is ``(indptr, indices)``, the constraint -> variable
-    incidence; it is built with the checks."""
+    It is held once, as the read-only constraint -> variable incidence
+    ``cons_csr = (indptr, indices)``, checked for empty constraints, repeated
+    indices and indices out of range. ``from_constraints`` builds one by hand."""
 
     num_vars: int
-    constraints: tuple
+    cons_csr: tuple
 
     def __post_init__(self):
         if self.num_vars < 0:
             raise InvalidArgument("num_vars must be non-negative")
-        cons = tuple(tuple(map(int, c)) for c in self.constraints)
-        indptr = np.zeros(len(cons) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, cons), dtype=np.int64, count=len(cons)), out=indptr[1:])
-        if (indptr[1:] == indptr[:-1]).any():
+        indptr, indices = (np.asarray(a, dtype=np.int64) for a in self.cons_csr)
+        if indptr.ndim != 1 or indices.ndim != 1 or indptr[:1].tolist() != [0] or indptr[-1] != len(indices):
+            raise InvalidArgument("cons_csr must be (indptr, indices) with indptr from 0 to len(indices)")
+        sizes = np.diff(indptr)
+        if (sizes <= 0).any():
             raise InvalidArgument("empty constraint")
-        try:
-            indices = np.fromiter(chain.from_iterable(cons), dtype=np.int64, count=int(indptr[-1]))
-        except OverflowError:
-            if any(len(set(c)) != len(c) for c in cons):
-                raise InvalidArgument("constraint has duplicate indices") from None
-            raise InvalidArgument("constraint index out of range") from None
         # a repeated index sits next to itself once each constraint is sorted
-        owner = np.repeat(np.arange(len(cons)), np.diff(indptr))
-        order = np.lexsort((indices, owner))
-        same = (owner[order][1:] == owner[order][:-1]) & (indices[order][1:] == indices[order][:-1])
+        ordered = indices[np.lexsort((indices, np.repeat(np.arange(len(sizes)), sizes)))]
+        same = ordered[1:] == ordered[:-1]
+        same[indptr[1:-1] - 1] = False  # neighbours across a constraint boundary
         if same.any():
             raise InvalidArgument("constraint has duplicate indices")
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_vars):
             raise InvalidArgument("constraint index out of range")
-        object.__setattr__(self, "constraints", cons)
+        for arr in (indptr, indices):
+            arr.setflags(write=False)
         object.__setattr__(self, "cons_csr", (indptr, indices))
+
+    @classmethod
+    def from_constraints(cls, num_vars: int, constraints) -> "CoveringProgram":
+        """The program with one constraint per sequence of variable indices."""
+        cons = [tuple(map(int, c)) for c in constraints]
+        indptr = np.cumsum([0, *map(len, cons)], dtype=np.int64)
+        try:
+            indices = np.fromiter(chain.from_iterable(cons), dtype=np.int64, count=int(indptr[-1]))
+        except OverflowError:  # an index beyond int64, reported after the other faults
+            if not all(cons):
+                raise InvalidArgument("empty constraint") from None
+            if any(len(set(c)) != len(c) for c in cons):
+                raise InvalidArgument("constraint has duplicate indices") from None
+            raise InvalidArgument("constraint index out of range") from None
+        return cls(num_vars, (indptr, indices))
+
+    @property
+    def constraints(self) -> tuple:
+        """The constraints as tuples of Python ints, derived from ``cons_csr``."""
+        indptr, indices = (a.tolist() for a in self.cons_csr)
+        return tuple(tuple(indices[a:b]) for a, b in zip(indptr[:-1], indptr[1:]))
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.cons_csr[0]) - 1
 
 
 def var_incidence(num_vars, cons_indptr, cons_indices):
@@ -241,34 +261,32 @@ class ClusterPartition:
         return np.nonzero(self.assignments == cluster)[0]
 
 
+def _edge_unions(graph: ConsensusGraph, edges: np.ndarray) -> np.ndarray:
+    """Per edge, the union of its two vertex subsets: ascending, then -1 up to width ``2 * s``."""
+    rows = np.sort(graph.vertices[edges].reshape(len(edges), 2 * graph.s), axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = -1
+    return np.take_along_axis(rows, np.argsort(rows < 0, axis=1, kind="stable"), axis=1)
+
+
 def build_covering_program(graph: ConsensusGraph) -> CoveringProgram:
     """Compile every theta=0 edge of the graph into one covering constraint.
 
-    The constraint is the deduplicated union of the edge's two vertex index
-    subsets; agreeing edges (theta=1) produce nothing, and duplicate
-    constraints are removed. An empty graph yields an empty program.
-    Constraints are sorted as tuples. For s=1 they come from one
-    ``np.sort`` of the ``(lo, hi)`` match-pair keys of the violated edges,
-    with repeats dropped; a pair of equal matches is a one-variable
-    constraint.
+    The constraint is the union of the edge's two vertex index subsets;
+    agreeing edges (theta=1) produce nothing. One vectorised pass serves
+    every ``s``: the -1-padded union rows are sorted as rows, repeats are
+    dropped, and the rest become the CSR arrays, so constraints ascend and
+    come in tuple order, a shorter prefix first. An empty graph yields an
+    empty program.
     """
     num_vars = int(graph.vertices.max()) + 1 if graph.vertices.size else 0
-    if graph.s == 1:
-        violated = graph.edges[graph.theta == 0]
-        u, w = graph.vertices[violated[:, 0], 0], graph.vertices[violated[:, 1], 0]
-        # (x, x) sorts before (x, y > x), as the singleton (x,) does before (x, y)
-        keys = np.sort(np.minimum(u, w) * num_vars + np.maximum(u, w))
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        lo, hi = np.divmod(keys[first], num_vars)
-        constraints = tuple((a,) if a == b else (a, b) for a, b in zip(lo.tolist(), hi.tolist()))
-        return CoveringProgram(num_vars=num_vars, constraints=constraints)
-    seen = set()
-    for eidx in np.nonzero(graph.theta == 0)[0]:
-        a, b = graph.edges[eidx]
-        union = tuple(sorted(set(graph.vertices[a].tolist()) | set(graph.vertices[b].tolist())))
-        seen.add(union)
-    return CoveringProgram(num_vars=num_vars, constraints=tuple(sorted(seen)))
+    rows = _edge_unions(graph, graph.edges[graph.theta == 0])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rows = rows[first]
+    member = rows >= 0
+    indptr = np.concatenate(([0], np.cumsum(member.sum(axis=1))))
+    return CoveringProgram(num_vars, (indptr, rows[member]))
 
 
 def kmeans_partition(points, m: int, seed: int) -> ClusterPartition:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,20 +50,14 @@ class EvalReport:
     trace_path: Optional[str] = None
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        return {
-            "true_inliers_kept": self.true_inliers_kept,
-            "true_inliers_lost": self.true_inliers_lost,
-            "outliers_removed": self.outliers_removed,
-            "outliers_missed": self.outliers_missed,
-            "precision": self.precision,
-            "recall": self.recall,
-            "wall_time": self.wall_time if include_timing else None,
-            "trace_path": self.trace_path,
-            "definitions": {
-                "precision": "true_inliers_kept / (true_inliers_kept + outliers_missed)",
-                "recall": "true_inliers_kept / (true_inliers_kept + true_inliers_lost)",
-            },
+        out = asdict(self)
+        if not include_timing:
+            out["wall_time"] = None
+        out["definitions"] = {
+            "precision": "true_inliers_kept / (true_inliers_kept + outliers_missed)",
+            "recall": "true_inliers_kept / (true_inliers_kept + true_inliers_lost)",
         }
+        return out
 
 
 def evaluate_labels(predicted: LabelVector, gt: LabelVector) -> EvalReport:

@@ -49,32 +49,22 @@ class TriMesh:
     @cached_property
     def edge_graph(self):
         """Symmetric CSR (indptr, indices, weights) over mesh edges."""
-        pairs = set()
-        for a, b, c in self.triangles.tolist():
-            pairs.add((min(a, b), max(a, b)))
-            pairs.add((min(b, c), max(b, c)))
-            pairs.add((min(a, c), max(a, c)))
-        return _build_csr(self.vertices, sorted(pairs))
+        return _build_csr(self.vertices, self.triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2))
 
 
 def _build_csr(vertices, pairs):
-    n = len(vertices)
-    if not pairs:
-        return (
-            np.zeros(n + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
-    arr = np.asarray(pairs, dtype=np.int64)
+    """Symmetric CSR (indptr, indices, weights) over the undirected vertex
+    ``pairs``; a pair given twice, in either orientation, counts once."""
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     src = np.concatenate([arr[:, 0], arr[:, 1]])
     dst = np.concatenate([arr[:, 1], arr[:, 0]])
-    w = np.linalg.norm(vertices[arr[:, 0]] - vertices[arr[:, 1]], axis=1)
-    w = np.concatenate([w, w])
     order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    src, dst = src[order], dst[order]
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    src, dst = src[first], dst[first]
+    w = np.linalg.norm(vertices[src] - vertices[dst], axis=1)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=len(vertices)))))
     return indptr, dst, w
 
 
@@ -87,11 +77,8 @@ def knn_graph(points, k: int = KNN_FALLBACK_K):
     k = min(k, n - 1)
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
-    pairs = set()
-    for i in range(n):
-        for j in np.argsort(d2[i], kind="stable")[:k]:
-            pairs.add((min(i, int(j)), max(i, int(j))))
-    return _build_csr(pts, sorted(pairs))
+    nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return _build_csr(pts, np.column_stack([np.repeat(np.arange(n), k), nn.ravel()]))
 
 
 @dataclass(frozen=True)

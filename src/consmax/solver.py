@@ -49,7 +49,7 @@ class SolverConfig:
     node_budget: int = 10_000_000
 
     def __post_init__(self):
-        if self.time_budget <= 0 or self.node_budget <= 0:
+        if not (self.time_budget > 0 and self.node_budget > 0):
             raise InvalidArgument("budgets must be positive")
 
 
@@ -149,10 +149,8 @@ def brute_force_oracle(program: CoveringProgram) -> tuple[int, LabelVector]:
     if p > _BRUTE_FORCE_LIMIT:
         raise TooLarge(f"brute force limited to {_BRUTE_FORCE_LIMIT} variables, got {p}")
     # bit (p-1-i) encodes z[i], so numeric order equals lexicographic order
-    masks = np.array(
-        [sum(1 << (p - 1 - i) for i in c) for c in program.constraints],
-        dtype=np.uint32,
-    )
+    indptr, indices = program.cons_csr
+    masks = np.bitwise_or.reduceat(np.uint32(1) << (p - 1 - indices).astype(np.uint32), indptr[:-1])
     best_count, best_key = p + 1, None
     for lo in range(0, 1 << p, _BRUTE_FORCE_CHUNK):
         hi = min(lo + _BRUTE_FORCE_CHUNK, 1 << p)
@@ -201,7 +199,7 @@ def solve_exact(program: CoveringProgram, config: SolverConfig = SolverConfig())
     """
     if program.num_constraints == 0:
         return _trivial_result(program.num_vars, time.perf_counter())
-    if max(map(len, program.constraints)) <= 2:
+    if np.diff(program.cons_csr[0]).max() <= 2:
         return _solve_clique(program, config)
     return _solve_lp_bnb(program, config)
 

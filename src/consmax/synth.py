@@ -42,9 +42,9 @@ class SynthSpec:
             raise InvalidArgument("need at least 4 points")
         if not (0.0 <= self.outlier_ratio < 1.0):
             raise InvalidArgument("outlier_ratio must lie in [0, 1)")
-        if self.noise < 0.0:
+        if not self.noise >= 0.0:
             raise InvalidArgument("noise must be non-negative")
-        if self.kind == "template-bend" and self.bend_radius <= 0.0:
+        if self.kind == "template-bend" and not self.bend_radius > 0.0:
             raise InvalidArgument("bend_radius must be positive")
 
     @property

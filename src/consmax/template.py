@@ -18,6 +18,7 @@ from .core import (
     LabelVector,
     MatchSet,
     Registration,
+    _edge_unions,
     build_covering_program,
     kmeans_partition,
     register_clusters,
@@ -48,7 +49,7 @@ class TemplateMatchConfig:
     def __post_init__(self):
         if not (0.0 < self.eps1 < math.pi):
             raise InvalidArgument("eps1 must lie in (0, pi)")
-        if self.eps2 <= 0.0:
+        if not self.eps2 > 0.0:
             raise InvalidArgument("eps2 must be positive")
         if self.q < 4:
             raise InvalidArgument("q must be >= 4")
@@ -96,9 +97,7 @@ def build_triangle_graph(
     d2 = ((tpts[:, None, :] - tpts[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     adj = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        nn = np.argsort(d2[i], kind="stable")[:q]
-        adj[i, nn] = True
+    adj[np.arange(k)[:, None], np.argsort(d2, axis=1, kind="stable")[:, :q]] = True
     adj |= adj.T  # symmetric q-NN graph
 
     # triangles i < j < l of mutual neighbours, generated in sorted order
@@ -173,13 +172,10 @@ def local_filtering(
     if graph.s != 3:
         raise InvalidArgument("local filtering expects a triangle graph (s=3)")
     p = int(num_matches)
-    agree = np.zeros(p, dtype=np.int64)
-    total = np.zeros(p, dtype=np.int64)
-    for (a, b), th in zip(graph.edges.tolist(), graph.theta.tolist()):
-        union = set(graph.vertices[a].tolist()) | set(graph.vertices[b].tolist())
-        for v in union:
-            total[v] += 1
-            agree[v] += th
+    rows = _edge_unions(graph, graph.edges)
+    member = rows >= 0
+    total = np.bincount(rows[member], minlength=p)
+    agree = np.bincount(rows[member & (graph.theta[:, None] == 1)], minlength=p)
     z = np.ones(p, dtype=np.int8)
     ok = total >= min_incident
     frac = np.divide(agree, total, out=np.zeros(p, dtype=np.float64), where=total > 0)

@@ -43,7 +43,7 @@ def random_program(rng) -> CoveringProgram:
     for _ in range(int(rng.integers(0, 41))):  # <= 40 constraints
         size = min(int(rng.choice([1, 2, 4])), p)
         cons.add(tuple(sorted(rng.choice(p, size, replace=False).tolist())))
-    return CoveringProgram(p, tuple(sorted(cons)))
+    return CoveringProgram.from_constraints(p, sorted(cons))
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +187,7 @@ def test_criterion_5_lp_bound_sanity(random_suite):
     for k, e in enumerate(random_suite["entries"]):
         if e["lp"] > e["oracle"] + 1e-6:
             bad.append((k, e["lp"], e["oracle"]))
-    odd = CoveringProgram(3, ((0, 1), (1, 2), (0, 2)))
+    odd = CoveringProgram.from_constraints(3, ((0, 1), (1, 2), (0, 2)))
     lp = lp_lower_bound(odd)
     ilp, _ = brute_force_oracle(odd)
     if abs(lp - 1.5) > 1e-7:

@@ -346,6 +346,20 @@ class TestBench:
             run_cli(["bench", "--n", "36", "--seeds", "1", "--out-dir", str(tmp_path), flag, value])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--ratios", "0.1,abc"), ("--ratios", "0.2,1.5"), ("--seeds", "-1"), ("--seeds", "0"),
+         ("--seeds", "two"), ("--modes", "exact,bogus")],
+    )
+    def test_rejects_bad_sweep_values(self, tmp_path, flag, value, capsys):
+        # refused while parsing: nothing is synthesised or written
+        out = tmp_path / "bench"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bench", "--n", "36", "--seeds", "1", "--modes", "exact", "--out-dir", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGoldenReports:
     """sha256 of default-flag reports, recorded before the per-cluster loop

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def ref_build_covering_program(graph):
         a, b = graph.edges[eidx]
         union = tuple(sorted(set(graph.vertices[a].tolist()) | set(graph.vertices[b].tolist())))
         seen.add(union)
-    return CoveringProgram(num_vars=num_vars, constraints=tuple(sorted(seen)))
+    return CoveringProgram.from_constraints(num_vars, sorted(seen))
 
 
 class TestCoveringProgramChecks:
@@ -107,44 +108,90 @@ class TestCoveringProgramChecks:
     )
     def test_rejects(self, constraints, message):
         with pytest.raises(InvalidArgument, match=message):
-            CoveringProgram(num_vars=4, constraints=constraints)
+            CoveringProgram.from_constraints(4, constraints)
+
+    @pytest.mark.parametrize(
+        "indptr,indices,message",
+        [
+            ([0, 2, 1, 2], [0, 1], "empty constraint"),  # a negative size
+            ([1, 2], [0, 1], "cons_csr"),
+            ([0, 1], [0, 1], "cons_csr"),
+            ([], [], "cons_csr"),
+            ([[0, 1]], [0], "cons_csr"),
+        ],
+        ids=["decreasing", "not-from-0", "indices-left-over", "no-indptr", "2-d"],
+    )
+    def test_rejects_malformed_csr(self, indptr, indices, message):
+        with pytest.raises(InvalidArgument, match=message):
+            CoveringProgram(4, (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)))
+
+    def test_csr_is_read_only(self):
+        prog = CoveringProgram.from_constraints(4, [(0, 1), (2,)])
+        assert not any(a.flags.writeable for a in prog.cons_csr)
+        assert prog.num_constraints == 2
 
     def test_repeats_across_constraints_allowed(self):
-        prog = CoveringProgram(num_vars=4, constraints=[[3, 1], (1, 3, 0), (np.int64(2),)])
+        prog = CoveringProgram.from_constraints(4, [[3, 1], (1, 3, 0), (np.int64(2),)])
         assert prog.constraints == ((3, 1), (1, 3, 0), (2,))
         assert prog.cons_csr[0].tolist() == [0, 2, 5, 6]
         assert prog.cons_csr[1].tolist() == [3, 1, 1, 3, 0, 2]
 
 
 class TestVectorisedPairCompile:
-    """The s=1 pass gives the loop's constraints tuple, byte for byte."""
+    """The one compile gives the loop's program for s = 1, 2 and 3, byte for
+    byte: the CSR arrays and the derived constraints tuple."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_loop(self, seed):
         rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, 60))
-        iu, ju = np.triu_indices(k, 1)
-        keep = rng.random(len(iu)) < 0.7
-        edges = np.column_stack([iu[keep], ju[keep]])
-        # both orientations, and repeated match ids so that some violated
-        # edges join two vertices of one match (a one-variable constraint)
-        edges[::3] = edges[::3, ::-1]
-        verts = rng.integers(0, k if seed % 2 else 3 * k, size=(k, 1))
-        theta = (rng.random(len(edges)) < 0.4).astype(np.uint8)
-        g = make_graph(verts, edges, theta, s=1)
-        got = build_covering_program(g)
-        want = ref_build_covering_program(g)
-        assert got.num_vars == want.num_vars
-        assert pickle.dumps(got.constraints) == pickle.dumps(want.constraints)
-        assert [np.array_equal(a, b) for a, b in zip(got.cons_csr, want.cons_csr)] == [True, True]
-        if seed % 2:
-            assert any(len(c) == 1 for c in got.constraints)
+        for s in (1, 2, 3):
+            k = int(rng.integers(2, 60))
+            iu, ju = np.triu_indices(k, 1)
+            keep = rng.random(len(iu)) < 0.7
+            edges = np.column_stack([iu[keep], ju[keep]])
+            # both orientations, and match ids repeated across vertices so that
+            # some violated edges join overlapping subsets (fewer than 2s
+            # variables; for s=1 a one-variable constraint)
+            edges[::3] = edges[::3, ::-1]
+            pool = s + 2 if seed % 2 else 3 * k
+            verts = np.array([rng.choice(pool, s, replace=False) for _ in range(k)])
+            theta = (rng.random(len(edges)) < 0.4).astype(np.uint8)
+            g = make_graph(verts, edges, theta, s=s)
+            got = build_covering_program(g)
+            want = ref_build_covering_program(g)
+            assert got.num_vars == want.num_vars
+            assert pickle.dumps(got.constraints) == pickle.dumps(want.constraints)
+            assert [np.array_equal(a, b) for a, b in zip(got.cons_csr, want.cons_csr)] == [True, True]
+            if seed % 2 and got.num_constraints:
+                assert any(len(c) < 2 * s for c in got.constraints)
 
     def test_empty_and_agreeing(self):
         for theta in ([], [1, 1]):
             edges = [(0, 1), (1, 2)][: len(theta)]
             g = make_graph([[0], [1], [2]], edges, theta, s=1)
             assert build_covering_program(g).constraints == ref_build_covering_program(g).constraints == ()
+
+    def test_one_cluster_900_match_peak_memory(self):
+        # every pair of 900 matches, about 58% violated: the size of the
+        # one-cluster program of a 900-match isometric instance. Holding the
+        # constraints as Python tuples as well as CSR took about 72 MiB.
+        rng = np.random.default_rng(0)
+        iu, ju = np.triu_indices(900, 1)
+        theta = (rng.random(len(iu)) >= 0.58).astype(np.uint8)
+        g = make_graph(np.arange(900)[:, None], np.column_stack([iu, ju]), theta, s=1)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            prog = build_covering_program(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert prog.num_constraints == int((theta == 0).sum())
+        assert peak < 32 * 2**20, f"compile peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestGraphValidation:
@@ -159,6 +206,11 @@ class TestGraphValidation:
     def test_vertex_cardinality(self):
         with pytest.raises(InvalidArgument):
             make_graph([[0, 0, 1]], [], [], s=3)
+
+    def test_negative_match_index_rejected(self):
+        # -1 pads the compile's union rows, so it must never be a match
+        with pytest.raises(InvalidArgument, match="non-negative"):
+            make_graph([[-1], [2]], [(0, 1)], [0], s=1)
 
     def test_repeat_in_non_adjacent_position(self):
         with pytest.raises(InvalidArgument, match="s distinct match indices"):

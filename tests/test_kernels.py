@@ -135,7 +135,7 @@ def random_program(rng, sizes, p, n_cons):
     while len(cons) < n_cons:
         size = min(int(rng.choice(sizes)), p)
         cons.add(tuple(sorted(rng.choice(p, size, replace=False).tolist())))
-    return CoveringProgram(p, tuple(sorted(cons)))
+    return CoveringProgram.from_constraints(p, sorted(cons))
 
 
 class TestDijkstra:
@@ -213,7 +213,7 @@ class TestPackingSimplex:
         program = random_program(rng, [2, 3], 30, 60)
         long = tuple(range(0, 30, 3))
         assert len(long) == 10
-        self.check(CoveringProgram(30, program.constraints + (long,)))
+        self.check(CoveringProgram.from_constraints(30, program.constraints + (long,)))
 
     @staticmethod
     def check(program):

@@ -21,7 +21,7 @@ from consmax.solver import (
 
 
 def prog(num_vars, *constraints):
-    return CoveringProgram(num_vars, tuple(tuple(c) for c in constraints))
+    return CoveringProgram.from_constraints(num_vars, constraints)
 
 
 def random_program(rng, max_vars=15, max_cons=25):
@@ -414,6 +414,8 @@ class TestSolverConfigValidation:
             SolverConfig(time_budget=0)
         with pytest.raises(InvalidArgument):
             SolverConfig(node_budget=0)
+        with pytest.raises(InvalidArgument):
+            SolverConfig(time_budget=float("nan"))
 
 
 class TestInstanceFormat:

@@ -36,6 +36,11 @@ class TestSynthSpec:
         with pytest.raises(InvalidArgument):
             SynthSpec(kind="template-bend", n_points=100, outlier_ratio=0.1, bend_radius=0.0)
 
+    @pytest.mark.parametrize("field,kind", [("bend_radius", "template-bend"), ("noise", "isometric-grid")])
+    def test_nan_invalid(self, field, kind):
+        with pytest.raises(InvalidArgument, match=field):
+            SynthSpec(kind=kind, n_points=100, outlier_ratio=0.1, **{field: float("nan")})
+
     def test_kind_checked(self):
         with pytest.raises(InvalidArgument):
             SynthSpec(kind="torus", n_points=10, outlier_ratio=0.0)

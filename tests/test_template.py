@@ -17,6 +17,19 @@ from consmax.template import (
 BUDGET = SolverConfig(time_budget=10.0, node_budget=50_000)
 
 
+@pytest.fixture(scope="module")
+def tpl_bend_c4_graphs():
+    """The four cluster graphs of the tpl-bend-c4 benchmark instance."""
+    template, image, K, matches = bent_instance(ratio=0.3, seed=2, n=225)
+    cfg = TemplateMatchConfig(edges_per_point_cap=100, clusters=4)
+    mt, mi = template[matches.pairs[:, 0]], image[matches.pairs[:, 1]]
+    partition = kmeans_partition(mt, cfg.clusters, cfg.seed)
+    return [
+        (build_triangle_graph(mt[idx], mi[idx], K, cfg), len(idx))
+        for idx in map(partition.members, range(cfg.clusters))
+    ]
+
+
 def bent_instance(ratio=0.3, seed=2, n=100, noise=0.0):
     spec = SynthSpec(
         kind="template-bend", n_points=n, outlier_ratio=ratio, noise=noise,
@@ -31,6 +44,8 @@ class TestConfigValidation:
             TemplateMatchConfig(eps1=0.0)
         with pytest.raises(InvalidArgument):
             TemplateMatchConfig(eps2=0.0)
+        with pytest.raises(InvalidArgument, match="eps2"):
+            TemplateMatchConfig(eps2=float("nan"))
         with pytest.raises(InvalidArgument):
             TemplateMatchConfig(q=3)
         with pytest.raises(InvalidArgument):
@@ -107,14 +122,8 @@ class TestGraphDigests:
         (1752, 1116, "91fa7c6df3728fcf931f7dce921bd133b82aea4b1cca6a91a337ffc097143264"),
     ]
 
-    def test_tpl_bend_c4_clusters(self):
-        template, image, K, matches = bent_instance(ratio=0.3, seed=2, n=225)
-        cfg = TemplateMatchConfig(edges_per_point_cap=100, clusters=4)
-        mt, mi = template[matches.pairs[:, 0]], image[matches.pairs[:, 1]]
-        partition = kmeans_partition(mt, cfg.clusters, cfg.seed)
-        for c, (triangles, edges, digest) in enumerate(self.PINNED):
-            idx = partition.members(c)
-            graph = build_triangle_graph(mt[idx], mi[idx], K, cfg)
+    def test_tpl_bend_c4_clusters(self, tpl_bend_c4_graphs):
+        for (graph, _), (triangles, edges, digest) in zip(tpl_bend_c4_graphs, self.PINNED, strict=True):
             h = hashlib.sha256()
             for part in (graph.vertices, graph.edges, graph.theta):
                 h.update(np.ascontiguousarray(part).tobytes())
@@ -179,6 +188,52 @@ class TestLocalFiltering:
         )
         with pytest.raises(InvalidArgument):
             local_filtering(g, 0.5, 1, num_matches=2)
+
+
+def ref_local_filtering(graph, tau, min_incident, num_matches):
+    """The per-edge loop form of ``local_filtering``."""
+    p = int(num_matches)
+    agree = np.zeros(p, dtype=np.int64)
+    total = np.zeros(p, dtype=np.int64)
+    for (a, b), th in zip(graph.edges.tolist(), graph.theta.tolist()):
+        union = set(graph.vertices[a].tolist()) | set(graph.vertices[b].tolist())
+        for v in union:
+            total[v] += 1
+            agree[v] += th
+    z = np.ones(p, dtype=np.int8)
+    ok = total >= min_incident
+    frac = np.divide(agree, total, out=np.zeros(p, dtype=np.float64), where=total > 0)
+    z[ok & (frac >= tau)] = 0
+    return z
+
+
+class TestVectorisedLocalFiltering:
+    """The tally over ``core``'s union rows gives the loop's labels."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_triangle_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(4, 12))  # few matches, so triangles overlap
+        verts = np.array([rng.choice(p, 3, replace=False) for _ in range(int(rng.integers(2, 30)))])
+        iu, ju = np.triu_indices(len(verts), 1)
+        keep = rng.random(len(iu)) < 0.5
+        edges = np.column_stack([iu[keep], ju[keep]])
+        edges[::2] = edges[::2, ::-1]
+        theta = (rng.random(len(edges)) < 0.6).astype(np.uint8)
+        graph = ConsensusGraph(vertices=verts, edges=edges, theta=theta, s=3)
+        for tau, min_incident in ((0.5, 1), (0.3, 3), (0.8, 0)):
+            got = local_filtering(graph, tau, min_incident, num_matches=p + 2)
+            assert got.z.tolist() == ref_local_filtering(graph, tau, min_incident, p + 2).tolist()
+
+    def test_tpl_bend_c4_clusters(self, tpl_bend_c4_graphs):
+        for graph, k in tpl_bend_c4_graphs:
+            outliers = []
+            for tau in (0.5, 0.3, 0.1):
+                got = local_filtering(graph, tau, 3, num_matches=k)
+                want = ref_local_filtering(graph, tau, 3, k)
+                assert got.z.tolist() == want.tolist()
+                outliers.append(int(want.sum()))
+            assert min(outliers) < k  # some match is an inlier
 
 
 class TestTemplatePipeline:
