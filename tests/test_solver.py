@@ -371,6 +371,36 @@ class TestLpBnbPinned:
         assert h.hexdigest() == self.DIGEST
 
 
+class TestSolveRoutesPinned:
+    # sha256 over every result of the other routes: solve_exact on forty
+    # seeded {1, 2}-programs (the clique route), the same programs stopped
+    # by node_budget 1, 2 and 5, solve_relaxed on twenty seeded
+    # {1, 2, 4}-programs, and the empty program through both solvers. Each
+    # result adds its labels, objective, repr(lower_bound), optimal,
+    # violated_constraints and every trace row. Re-record it only for a
+    # deliberate change of a route's output.
+    DIGEST = "7b4cb1834ad7b7929a2f00696bab8f0a21ae911859811d38eab1cd3a60278950"
+
+    def test_results_unchanged(self):
+        rng = np.random.default_rng(2026)
+        pair_programs = [random_pair_program(rng, 10, 40, 1.5) for _ in range(40)]
+        runs = [(solve_exact, program, SolverConfig()) for program in pair_programs]
+        for budget in (1, 2, 5):
+            runs += [(solve_exact, program, SolverConfig(node_budget=budget)) for program in pair_programs]
+        runs += [(solve_relaxed, random_program(rng), SolverConfig()) for _ in range(20)]
+        runs += [(solve, prog(5), SolverConfig()) for solve in (solve_exact, solve_relaxed)]
+        h = hashlib.sha256()
+        for solve, program, config in runs:
+            res = solve(program, config)
+            h.update(res.labels.z.tobytes())
+            h.update(
+                f"|{res.objective}|{res.lower_bound!r}|{res.optimal}|{res.violated_constraints}\n".encode()
+            )
+            for e in res.trace:
+                h.update(f"{e.iteration},{e.upper_bound},{e.lower_bound!r},{e.open_nodes}\n".encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestSolveRelaxed:
     def test_empty(self):
         res = solve_relaxed(prog(3))
