@@ -33,7 +33,6 @@ from .pose import (
     CameraIntrinsics,
     Pose,
     p3p_solve,
-    pose_agreement,
     rotation_geodesic_distance,
 )
 from .solver import (
@@ -83,7 +82,6 @@ __all__ = [
     "CameraIntrinsics",
     "Pose",
     "p3p_solve",
-    "pose_agreement",
     "rotation_geodesic_distance",
     "SolverConfig",
     "SolverResult",

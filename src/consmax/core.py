@@ -55,10 +55,6 @@ class LabelVector:
         object.__setattr__(self, "z", z)
 
     @classmethod
-    def all_inlier(cls, n: int) -> "LabelVector":
-        return cls(np.zeros(n, dtype=np.int8))
-
-    @classmethod
     def from_outlier_indices(cls, n: int, indices) -> "LabelVector":
         z = np.zeros(n, dtype=np.int8)
         z[np.asarray(indices, dtype=np.int64)] = OUTLIER
@@ -222,19 +218,6 @@ class CoveringProgram:
     @property
     def num_constraints(self) -> int:
         return len(self.cons_csr[0]) - 1
-
-
-def var_incidence(num_vars, cons_indptr, cons_indices):
-    """Transpose a constraint -> variable CSR into (indptr, cons_ids), the
-    variable -> constraint incidence; constraint ids ascend per variable."""
-    counts = np.bincount(cons_indices, minlength=num_vars)
-    indptr = np.zeros(num_vars + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(cons_indices, kind="stable")
-    cons_of_elem = np.repeat(
-        np.arange(len(cons_indptr) - 1, dtype=np.int64), np.diff(cons_indptr)
-    )
-    return indptr, cons_of_elem[order]
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class InvalidRotation(ConsmaxError, ValueError):
     """Matrix is not orthonormal with determinant +1 within tolerance."""
 
 
-class EmptySolutions(ConsmaxError, ValueError):
-    """Pose agreement needs a non-empty solution set on both sides."""
-
-
 class GeodesicFailure(ConsmaxError):
     """A cluster's matched points are entirely disconnected on one shape."""
 

@@ -126,23 +126,20 @@ def shape_registration_detailed(
     solve = solve_exact if config.mode == "exact" else solve_relaxed
 
     def label_cluster(c, idx):
-        k = len(idx)
-        gs = src_table.distances[np.ix_(src_row[idx], src_row[idx])]
-        gt = tgt_table.distances[np.ix_(tgt_row[idx], tgt_row[idx])]
-        iu, ju = np.triu_indices(k, 1)
-        if k >= 2:
-            src_ok = np.isfinite(gs[iu, ju])
-            tgt_ok = np.isfinite(gt[iu, ju])
-            if not src_ok.any():
-                raise GeodesicFailure(f"cluster {c}: matched points disconnected on the source shape")
-            if not tgt_ok.any():
-                raise GeodesicFailure(f"cluster {c}: matched points disconnected on the target shape")
-            valid = src_ok & tgt_ok
-        else:
-            valid = np.zeros(0, dtype=bool)
-        theta = isometry_agreement(gs[iu, ju][valid], gt[iu, ju][valid], config.eps_rel, eps_abs)
+        iu, ju = np.triu_indices(len(idx), 1)
+        # each pair's geodesics, gathered once straight from the tables
+        rs, rt = src_row[idx], tgt_row[idx]
+        gs = src_table.distances[rs[iu], rs[ju]]
+        gt = tgt_table.distances[rt[iu], rt[ju]]
+        src_ok, tgt_ok = np.isfinite(gs), np.isfinite(gt)
+        if len(iu) and not src_ok.any():
+            raise GeodesicFailure(f"cluster {c}: matched points disconnected on the source shape")
+        if len(iu) and not tgt_ok.any():
+            raise GeodesicFailure(f"cluster {c}: matched points disconnected on the target shape")
+        valid = src_ok & tgt_ok
+        theta = isometry_agreement(gs[valid], gt[valid], config.eps_rel, eps_abs)
         graph = ConsensusGraph(
-            vertices=np.arange(k, dtype=np.int64).reshape(-1, 1),
+            vertices=np.arange(len(idx), dtype=np.int64).reshape(-1, 1),
             edges=np.column_stack([iu[valid], ju[valid]]),
             theta=theta,
             s=1,

@@ -20,8 +20,8 @@ one array row per triangle or per candidate pose:
 
 Stacked BLAS and LAPACK calls treat each small matrix as a single call
 does, so a row's poses have the same bits whichever rows share its batch.
-``p3p_solve`` and ``pose_agreement`` are one-item wrappers over
-``p3p_batch`` and ``pose_agreement_batch``.
+``p3p_solve`` is a one-item wrapper over ``p3p_batch``; pose agreement is
+only batched, as ``pose_agreement_batch``.
 """
 
 from __future__ import annotations
@@ -32,12 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfiguration,
-    EmptySolutions,
-    InvalidArgument,
-    InvalidRotation,
-)
+from .errors import DegenerateConfiguration, InvalidArgument, InvalidRotation
 
 _ROT_ATOL = 1e-9
 _REPROJECTION_ATOL = 1e-6
@@ -524,11 +519,16 @@ def p3p_solve(points3d, bearings) -> list[Pose]:
 def pose_agreement_batch(
     rot_a, trans_a, count_a, rot_b, trans_b, count_b, eps1: float, eps2: float
 ) -> np.ndarray:
-    """Row-wise ``pose_agreement`` over padded pose tables.
+    """Binary agreement between two P3P solution sets, row by row over
+    padded pose tables.
 
     Row ``i`` compares poses ``rot_a[i, :count_a[i]]``/``trans_a[i, :count_a[i]]``
     with ``rot_b[i, :count_b[i]]``/``trans_b[i, :count_b[i]]``; every count
-    is at least 1. Returns a uint8 array of 0/1.
+    is at least 1. The pair (one pose from each set) with the smallest
+    rotation geodesic distance is selected (ties toward the smaller l1
+    translation gap); it agrees when that rotation distance is at most
+    ``eps1`` and the l1 translation gap is at most ``eps2 * max(|t_a|,
+    |t_b|)``. Returns a uint8 array of 0/1.
     """
     rot_a, rot_b = np.asarray(rot_a, dtype=np.float64), np.asarray(rot_b, dtype=np.float64)
     trans_a, trans_b = np.asarray(trans_a, dtype=np.float64), np.asarray(trans_b, dtype=np.float64)
@@ -558,21 +558,3 @@ def pose_agreement_batch(
     scale = np.where(nb > na, nb, na)
     return ((rd[rows, pick] <= eps1) & (tgap[rows, pick] <= eps2 * scale)).astype(np.uint8)
 
-
-def pose_agreement(poses_a, poses_b, eps1: float, eps2: float) -> int:
-    """Binary agreement between two P3P solution sets.
-
-    The pair (one pose from each set) with the smallest rotation geodesic
-    distance is selected (ties toward the smaller l1 translation gap); it
-    agrees when that rotation distance is at most ``eps1`` and the l1
-    translation gap is at most ``eps2 * max(|t_a|, |t_b|)``.
-    """
-    if not poses_a or not poses_b:
-        raise EmptySolutions("both pose lists must be non-empty")
-
-    def table(poses):
-        rot = np.stack([_valid_rotation(p) for p in poses])[None]
-        trans = np.stack([np.asarray(p.translation, dtype=np.float64).reshape(3) for p in poses])[None]
-        return rot, trans, [len(poses)]
-
-    return int(pose_agreement_batch(*table(poses_a), *table(poses_b), eps1, eps2)[0])

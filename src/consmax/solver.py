@@ -15,11 +15,10 @@
   objective is integral, so ``UB - LB < 1 - tol`` proves optimality).
 
 ``solve_relaxed`` solves the LP relaxation once and rounds at 0.5, on every
-program.
-
-The LP sub-solver lives in :mod:`consmax._kernels` (revised simplex on the
-packing dual); this module owns search, bookkeeping and the trace file
-format.
+program. The LP sub-solver lives in :mod:`consmax._kernels` (revised simplex
+on the packing dual). ``_lp`` is the one call of it here, ``_out_of_budget``
+the one stop rule of both searches, and ``_finish`` the one exit of every
+route: it writes the final trace row and builds the ``SolverResult``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import INLIER, OUTLIER, CoveringProgram, LabelVector, var_incidence
+from .core import INLIER, OUTLIER, CoveringProgram, LabelVector
 from .errors import InvalidArgument, LpNotConverged, TooLarge
 
 _BRUTE_FORCE_LIMIT = 24
@@ -91,42 +90,43 @@ def _residual(program: CoveringProgram, ones_mask: np.ndarray, zeros_mask: np.nd
     kept_sizes = np.add.reduceat(elem_keep.astype(np.int64), seg)[keep_cons]
     if (kept_sizes == 0).any():
         return None
-    indptr = np.zeros(len(kept_sizes) + 1, dtype=np.int64)
-    np.cumsum(kept_sizes, out=indptr[1:])
+    indptr = np.concatenate(([0], np.cumsum(kept_sizes)))
     free_ids = np.nonzero(free_mask)[0]
     remap = np.full(program.num_vars, -1, dtype=np.int64)
     remap[free_ids] = np.arange(len(free_ids), dtype=np.int64)
     return free_ids, indptr, remap[idx[elem_keep]]
 
 
-def _residual_lp(n_rows: int, indptr, indices) -> float:
+def _lp(n_rows: int, indptr, indices):
+    """Optimum ``(objective, z)`` of the covering LP over ``n_rows``
+    variables and the constraints ``(indptr, indices)``, or
+    ``LpNotConverged``. The kernel is looked up at call time, so a profiler
+    or a test can wrap it in place."""
     n_cols = len(indptr) - 1
     if n_cols == 0:
-        return 0.0
-    status, obj, _, _ = _kernels.packing_simplex(
+        return 0.0, np.zeros(n_rows)
+    status, obj, z, pivots = _kernels.packing_simplex(
         n_rows, n_cols, indptr, indices, LP_TOLERANCE, _lp_max_iter(n_rows, n_cols),
     )
     if status != _kernels.LP_OPTIMAL:
-        raise LpNotConverged(f"LP sub-solver status {status}")
-    return float(obj)
+        raise LpNotConverged(f"LP status {status} after {pivots} pivots")
+    return float(obj), z
 
 
-def _residual_greedy(n_free: int, indptr, indices) -> np.ndarray:
-    """Greedy cover of a residual program without its redundant picks."""
-    if len(indptr) == 1:
-        return np.zeros(n_free, dtype=np.int8)
-    var_indptr, var_cons = var_incidence(n_free, indptr, indices)
-    picks = _kernels.greedy_pick(n_free, indptr, indices, var_indptr, var_cons)
-    _drop_redundant_picks(picks, indptr, indices, var_indptr, var_cons)
-    return picks
+def var_incidence(num_vars, cons_indptr, cons_indices):
+    """Transpose a constraint -> variable CSR into (indptr, cons_ids), the
+    variable -> constraint incidence; constraint ids ascend per variable."""
+    counts = np.bincount(cons_indices, minlength=num_vars)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    order = np.argsort(cons_indices, kind="stable")
+    cons_of_elem = np.repeat(np.arange(len(cons_indptr) - 1, dtype=np.int64), np.diff(cons_indptr))
+    return indptr, cons_of_elem[order]
 
 
 def _drop_redundant_picks(picks, cons_indptr, cons_indices, var_indptr, var_cons):
     """Remove picks whose constraints are all covered twice over (greedy
     covers often carry a few); scan order is ascending variable index."""
-    cover = np.zeros(len(cons_indptr) - 1, dtype=np.int64)
-    picked_elem = picks[cons_indices] == 1
-    np.add.at(cover, np.repeat(np.arange(len(cons_indptr) - 1), np.diff(cons_indptr)), picked_elem)
+    cover = np.add.reduceat((picks[cons_indices] == 1).astype(np.int64), cons_indptr[:-1])
     for v in np.nonzero(picks == 1)[0]:
         cons = var_cons[var_indptr[v]:var_indptr[v + 1]]
         if (cover[cons] >= 2).all():
@@ -136,7 +136,7 @@ def _drop_redundant_picks(picks, cons_indptr, cons_indices, var_indptr, var_cons
 
 def lp_lower_bound(program: CoveringProgram) -> float:
     """Optimum of the LP relaxation; never exceeds the integer optimum."""
-    return _residual_lp(program.num_vars, *program.cons_csr)
+    return _lp(program.num_vars, *program.cons_csr)[0]
 
 
 def brute_force_oracle(program: CoveringProgram) -> tuple[int, LabelVector]:
@@ -153,8 +153,7 @@ def brute_force_oracle(program: CoveringProgram) -> tuple[int, LabelVector]:
     masks = np.bitwise_or.reduceat(np.uint32(1) << (p - 1 - indices).astype(np.uint32), indptr[:-1])
     best_count, best_key = p + 1, None
     for lo in range(0, 1 << p, _BRUTE_FORCE_CHUNK):
-        hi = min(lo + _BRUTE_FORCE_CHUNK, 1 << p)
-        arr = np.arange(lo, hi, dtype=np.uint32)
+        arr = np.arange(lo, min(lo + _BRUTE_FORCE_CHUNK, 1 << p), dtype=np.uint32)
         feasible = np.ones(arr.shape, dtype=bool)
         for m in masks:
             feasible &= (arr & m) != 0
@@ -163,26 +162,27 @@ def brute_force_oracle(program: CoveringProgram) -> tuple[int, LabelVector]:
         cand = arr[feasible]
         counts = np.bitwise_count(cand)
         cmin = int(counts.min())
-        if cmin < best_count:
-            best_count = cmin
-            best_key = int(cand[counts == cmin].min())
-        elif cmin == best_count:
-            key = int(cand[counts == cmin].min())
-            if key < best_key:
-                best_key = key
+        key = int(cand[counts == cmin].min())
+        if (cmin, key) < (best_count, best_key):  # best_count starts above p
+            best_count, best_key = cmin, key
     z = np.array([(best_key >> (p - 1 - i)) & 1 for i in range(p)], dtype=np.int8)
     return best_count, LabelVector(z)
 
 
-def _trivial_result(p: int, t0: float) -> SolverResult:
-    return SolverResult(
-        labels=LabelVector.all_inlier(p),
-        objective=0,
-        lower_bound=0.0,
-        optimal=True,
-        trace=[TraceEntry(0, 0, 0.0, 0)],
-        wall_time=time.perf_counter() - t0,
-    )
+def _out_of_budget(config: SolverConfig, expanded: int, t0: float) -> bool:
+    """The stop rule of both searches: ``expanded`` nodes, the root included,
+    use up ``node_budget``, or the search runs past ``time_budget``."""
+    return expanded >= config.node_budget or time.perf_counter() - t0 > config.time_budget
+
+
+def _finish(t0, z, lower, optimal, trace, open_nodes=0, violated=0) -> SolverResult:
+    """The one exit of every route: append the final trace row (no open
+    nodes once ``optimal``) and build the result, whose objective counts the
+    outliers of ``z``."""
+    objective = int(z.sum())
+    trace.append(TraceEntry(len(trace), objective, float(lower), 0 if optimal else open_nodes))
+    return SolverResult(LabelVector(z), objective, float(lower), optimal, trace,
+                        time.perf_counter() - t0, violated)
 
 
 def solve_exact(program: CoveringProgram, config: SolverConfig = SolverConfig()) -> SolverResult:
@@ -191,14 +191,13 @@ def solve_exact(program: CoveringProgram, config: SolverConfig = SolverConfig())
     A program whose constraints all have at most two variables goes to the
     maximum-clique search, which returns the lexicographically smallest
     optimal label vector (the rule ``brute_force_oracle`` documents); every
-    other program goes to LP-based Branch and Bound. Both count search nodes
-    against ``node_budget`` first, with ``time_budget`` only as a guard, and
-    return their best incumbent with a valid lower bound and
-    ``optimal=False`` when a budget runs out first. ``optimal=True`` comes
-    with ``lower_bound == objective``.
+    other program goes to LP-based Branch and Bound. A search stopped by
+    ``_out_of_budget`` returns its best incumbent with a valid lower bound
+    and ``optimal=False``; ``optimal=True`` comes with ``lower_bound ==
+    objective``.
     """
     if program.num_constraints == 0:
-        return _trivial_result(program.num_vars, time.perf_counter())
+        return _finish(time.perf_counter(), np.zeros(program.num_vars, dtype=np.int8), 0.0, True, [])
     if np.diff(program.cons_csr[0]).max() <= 2:
         return _solve_clique(program, config)
     return _solve_lp_bnb(program, config)
@@ -359,22 +358,19 @@ def _solve_clique(program: CoveringProgram, config: SolverConfig) -> SolverResul
             cand &= adj[v]
     upper = base - len(witness)
     lower = base - (cols[-1] if cols else 0)
-    trace = [TraceEntry(0, upper, float(lower), 1)]
-    nodes = 1
-    proving = True
-    left = 0
+    trace = [TraceEntry(0, upper, float(lower), 1)]  # one row per expanded node
+    proving, left = True, 0
 
     def node(frames, best_size):
-        nonlocal nodes, upper, lower, left
+        nonlocal upper, lower, left
         if proving:
             root = frames[0]
             upper = base - best_size
             lower = base - max(best_size, root[2][root[3] + 1])
-        if nodes >= config.node_budget or time.perf_counter() - t0 > config.time_budget:
+        if _out_of_budget(config, len(trace), t0):
             left = 1 + sum(f[3] + 1 for f in frames)
             return False
-        nodes += 1
-        trace.append(TraceEntry(nodes - 1, upper, float(lower), sum(f[3] + 1 for f in frames)))
+        trace.append(TraceEntry(len(trace), upper, float(lower), sum(f[3] + 1 for f in frames)))
         return True
 
     optimal = True
@@ -389,15 +385,7 @@ def _solve_clique(program: CoveringProgram, config: SolverConfig) -> SolverResul
         inliers = _lexicographic_clique(adj, np.argsort(ids).tolist(), inliers, node)
     in_clique = np.array([inliers >> k & 1 for k in range(m)], dtype=bool)
     z[ids[~in_clique]] = OUTLIER
-    trace.append(TraceEntry(trace[-1].iteration + 1, upper, float(lower), 0 if optimal else left))
-    return SolverResult(
-        labels=LabelVector(z),
-        objective=upper,
-        lower_bound=float(lower),
-        optimal=optimal,
-        trace=trace,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _finish(t0, z, lower, optimal, trace, left)
 
 
 def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig()) -> SolverResult:
@@ -410,24 +398,27 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
     LP relaxation; incumbents from greedy covers. A child whose LP does not
     converge keeps its parent's bound, or its count of fixed outliers when
     that is larger; a root LP that does not converge gives the bound 0.
-    Returns the best incumbent with ``optimal=False`` when a budget runs out
-    first.
     """
     t0 = time.perf_counter()
     p = program.num_vars
 
     def greedy_labels(ones_t, free_ids, indptr, indices):
-        picks = _residual_greedy(len(free_ids), indptr, indices)
+        # the fixed outliers plus a greedy cover of the residual program,
+        # without its redundant picks
         z = np.zeros(p, dtype=np.int8)
         z[list(ones_t)] = OUTLIER
-        z[free_ids[picks == 1]] = OUTLIER
+        if len(indptr) > 1:
+            incidence = var_incidence(len(free_ids), indptr, indices)
+            picks = _kernels.greedy_pick(len(free_ids), indptr, indices, *incidence)
+            _drop_redundant_picks(picks, indptr, indices, *incidence)
+            z[free_ids[picks == 1]] = OUTLIER
         return z
 
     def lp_bound(free_ids, indptr, indices):
         # a node whose LP stops without an optimum keeps the trivial residual
         # bound 0, so one bad LP weakens a bound instead of aborting the solve
         try:
-            return _residual_lp(len(free_ids), indptr, indices)
+            return _lp(len(free_ids), indptr, indices)[0]
         except LpNotConverged:
             return 0.0
 
@@ -437,29 +428,25 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
     upper = int(incumbent.sum())
     root_lb = lp_bound(*root)
     global_lb = min(root_lb, float(upper))
+    # the root row, then one row per expanded node
     trace = [TraceEntry(0, upper, global_lb, 1)]
 
     optimal = upper - global_lb < 1.0 - LP_TOLERANCE
     # heap entries: (bound, insertion counter, fixed outliers, fixed inliers)
     heap = [] if optimal else [(root_lb, 0, (), ())]
     counter = 1
-    iteration = 0
     while heap:
-        bound, _, ones_t, zeros_t = heapq.heappop(heap)
-        iteration += 1
+        bound, _, ones_t, zeros_t = heap[0]
         global_lb = max(global_lb, min(bound, float(upper)))
-        if bound >= upper - 1.0 + LP_TOLERANCE:
-            optimal = True  # best-first: every open node is at least this bound
+        # best-first: every open node is at least this bound
+        optimal = bound >= upper - 1.0 + LP_TOLERANCE
+        if optimal or _out_of_budget(config, len(trace) - 1, t0):
             break
-        if iteration > config.node_budget or time.perf_counter() - t0 > config.time_budget:
-            heapq.heappush(heap, (bound, -1, ones_t, zeros_t))
-            break
+        heapq.heappop(heap)
         # queued nodes are feasible and keep some constraint, so the residual
         # is a program with a variable to branch on
-        ones_mask = np.zeros(p, dtype=bool)
-        zeros_mask = np.zeros(p, dtype=bool)
-        ones_mask[list(ones_t)] = True
-        zeros_mask[list(zeros_t)] = True
+        ones_mask, zeros_mask = np.zeros((2, p), dtype=bool)
+        ones_mask[list(ones_t)] = zeros_mask[list(zeros_t)] = True
         free_ids, _, indices = _residual(program, ones_mask, zeros_mask)
         branch_var = int(free_ids[np.argmax(np.bincount(indices, minlength=len(free_ids)))])
         for mask, c_ones, c_zeros in (
@@ -480,23 +467,13 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
             if child_bound < upper - 1.0 + LP_TOLERANCE:
                 heapq.heappush(heap, (child_bound, counter, c_ones, c_zeros))
                 counter += 1
-        trace.append(TraceEntry(iteration, upper, global_lb, len(heap)))
+        trace.append(TraceEntry(len(trace), upper, global_lb, len(heap)))
     else:
         optimal = True  # queue exhausted: incumbent proven optimal
 
-    if optimal:
-        # the proven bound equals the optimum; report it so that
-        # ceil(lower_bound - tol) == objective holds exactly
-        global_lb = float(upper)
-    trace.append(TraceEntry(trace[-1].iteration + 1, upper, global_lb, 0 if optimal else len(heap)))
-    return SolverResult(
-        labels=LabelVector(incumbent),
-        objective=upper,
-        lower_bound=global_lb,
-        optimal=optimal,
-        trace=trace,
-        wall_time=time.perf_counter() - t0,
-    )
+    # a certificate reports the optimum as its bound, so that
+    # ceil(lower_bound - tol) == objective holds exactly
+    return _finish(t0, incumbent, float(upper) if optimal else global_lb, optimal, trace, len(heap))
 
 
 def solve_relaxed(program: CoveringProgram, config: SolverConfig = SolverConfig()) -> SolverResult:
@@ -508,31 +485,11 @@ def solve_relaxed(program: CoveringProgram, config: SolverConfig = SolverConfig(
     LP convergence, not integer optimality.
     """
     t0 = time.perf_counter()
-    p = program.num_vars
-    if program.num_constraints == 0:
-        return _trivial_result(p, t0)
     indptr, indices = program.cons_csr
-    status, obj, z, iters = _kernels.packing_simplex(
-        p, program.num_constraints, indptr, indices,
-        LP_TOLERANCE, _lp_max_iter(p, program.num_constraints),
-    )
-    if status == _kernels.LP_ITERATION_LIMIT:
-        raise LpNotConverged(f"simplex hit the iteration cap after {iters} pivots")
-    if status != _kernels.LP_OPTIMAL:
-        raise LpNotConverged(f"unexpected LP status {status}")
+    obj, z = _lp(program.num_vars, indptr, indices)
     labels = np.where(z >= 0.5, OUTLIER, INLIER).astype(np.int8)
     covered = np.add.reduceat(labels[indices] == OUTLIER, indptr[:-1]) > 0
-    violated = int((~covered).sum())
-    objective = int(labels.sum())
-    return SolverResult(
-        labels=LabelVector(labels),
-        objective=objective,
-        lower_bound=float(obj),
-        optimal=True,
-        trace=[TraceEntry(0, objective, float(obj), 0)],
-        wall_time=time.perf_counter() - t0,
-        violated_constraints=violated,
-    )
+    return _finish(t0, labels, obj, True, [], violated=int((~covered).sum()))
 
 
 TRACE_HEADER = "iteration,upper,lower,open_nodes"

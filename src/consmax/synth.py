@@ -42,10 +42,12 @@ class SynthSpec:
             raise InvalidArgument("need at least 4 points")
         if not (0.0 <= self.outlier_ratio < 1.0):
             raise InvalidArgument("outlier_ratio must lie in [0, 1)")
-        if not self.noise >= 0.0:
-            raise InvalidArgument("noise must be non-negative")
-        if self.kind == "template-bend" and not self.bend_radius > 0.0:
-            raise InvalidArgument("bend_radius must be positive")
+        # NaN and inf fail these tests too; an infinite radius would make
+        # every bent template point NaN
+        if not 0.0 <= self.noise < math.inf:
+            raise InvalidArgument("noise must be finite and non-negative")
+        if self.kind == "template-bend" and not 0.0 < self.bend_radius < math.inf:
+            raise InvalidArgument("bend_radius must be finite and positive")
 
     @property
     def num_outliers(self) -> int:

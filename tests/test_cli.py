@@ -78,6 +78,21 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+class TestSynth:
+    @pytest.mark.parametrize("flag", ["--bend-radius", "--noise"])
+    def test_infinite_value_exits_1(self, tmp_path, flag, capsys):
+        out = tmp_path / "x"
+        code = run_cli(
+            [
+                "synth", "--kind", "template-bend", "--n", "36", "--outlier-ratio", "0.3",
+                flag, "inf", "--out-dir", str(out),
+            ]
+        )
+        assert code == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestMatchShapes:
     def test_exact_run(self, iso_dir, tmp_path):
         report_path = tmp_path / "report.json"

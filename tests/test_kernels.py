@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from consmax import _kernels
-from consmax.core import CoveringProgram, var_incidence
+from consmax.core import CoveringProgram
 from consmax.mesh import TriMesh, knn_graph
-from consmax.solver import LP_TOLERANCE, _lp_max_iter
+from consmax.solver import LP_TOLERANCE, _lp_max_iter, var_incidence
 from test_mesh import jittered_grid
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from consmax.errors import (
     DegenerateConfiguration,
-    EmptySolutions,
     InvalidArgument,
     InvalidRotation,
     MalformedInput,
@@ -16,7 +15,6 @@ from consmax.pose import (
     _first_of_duplicates,
     p3p_batch,
     p3p_solve,
-    pose_agreement,
     pose_agreement_batch,
     random_rotation,
     rotation_geodesic_distance,
@@ -382,8 +380,7 @@ def ref_pose_agreement(poses_a, poses_b, eps1: float, eps2: float) -> int:
     agrees when that rotation distance is at most ``eps1`` and the l1
     translation gap is at most ``eps2 * max(|t_a|, |t_b|)``.
     """
-    if not poses_a or not poses_b:
-        raise EmptySolutions("both pose lists must be non-empty")
+    assert poses_a and poses_b
     best = None
     for pa in poses_a:
         for pb in poses_b:
@@ -683,7 +680,24 @@ class TestDangerCylinder:
         assert batched >= reference
 
 
+def pose_table(*pose_sets):
+    """Padded ``pose_agreement_batch`` tables, one row per list of poses."""
+    width = max(len(s) for s in pose_sets)
+    rot = np.zeros((len(pose_sets), width, 3, 3))
+    trans = np.zeros((len(pose_sets), width, 3))
+    for i, poses in enumerate(pose_sets):
+        for j, p in enumerate(poses):
+            rot[i, j], trans[i, j] = p.rotation, p.translation
+    return rot, trans, np.array([len(s) for s in pose_sets])
+
+
+def pose_agreement(poses_a, poses_b, eps1, eps2):
+    """One row of ``pose_agreement_batch``."""
+    return int(pose_agreement_batch(*pose_table(poses_a), *pose_table(poses_b), eps1, eps2)[0])
+
+
 class TestPoseAgreement:
+    # the agreement rule, through one-row tables of pose_agreement_batch
     def test_identical_poses(self):
         p = Pose(np.eye(3), np.array([0.0, 0, 5]))
         assert pose_agreement([p], [p], math.radians(10), 0.4) == 1
@@ -720,11 +734,6 @@ class TestPoseAgreement:
             Pose(rot_z(math.radians(5)), np.array([10.0, 0, 0])),
         ]
         assert pose_agreement(a, b, math.radians(10), 0.4) == 0
-
-    def test_empty_solutions(self):
-        p = Pose(np.eye(3), np.zeros(3))
-        with pytest.raises(EmptySolutions):
-            pose_agreement([], [p], 0.1, 0.4)
 
 
 class TestIntrinsics:
@@ -781,19 +790,13 @@ class TestBatchedPoseAgreement:
                 sets.append(poses)
             rows.append(sets)
 
-        def table(sets):
-            width = max(len(s) for s in sets)
-            rot = np.zeros((len(sets), width, 3, 3))
-            trans = np.zeros((len(sets), width, 3))
-            for i, poses in enumerate(sets):
-                for j, p in enumerate(poses):
-                    rot[i, j], trans[i, j] = p.rotation, p.translation
-            return rot, trans, np.array([len(s) for s in sets])
-
         eps1, eps2 = math.radians(10.0), 0.4
-        got = pose_agreement_batch(*table([r[0] for r in rows]), *table([r[1] for r in rows]), eps1, eps2)
+        got = pose_agreement_batch(
+            *pose_table(*[r[0] for r in rows]), *pose_table(*[r[1] for r in rows]), eps1, eps2
+        )
         want = [ref_pose_agreement(a, b, eps1, eps2) for a, b in rows]
         assert got.tolist() == want
         assert 0 < sum(want) < len(want)
+        # a one-row table gives the bit its row gets in the wider batch
         assert [pose_agreement(a, b, eps1, eps2) for a, b in rows] == want
 

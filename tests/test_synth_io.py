@@ -41,6 +41,14 @@ class TestSynthSpec:
         with pytest.raises(InvalidArgument, match=field):
             SynthSpec(kind=kind, n_points=100, outlier_ratio=0.1, **{field: float("nan")})
 
+    @pytest.mark.parametrize(
+        "field,kind",
+        [("bend_radius", "template-bend"), ("noise", "isometric-grid"), ("noise", "template-bend")],
+    )
+    def test_inf_invalid(self, field, kind):
+        with pytest.raises(InvalidArgument, match=field):
+            SynthSpec(kind=kind, n_points=100, outlier_ratio=0.1, **{field: float("inf")})
+
     def test_kind_checked(self):
         with pytest.raises(InvalidArgument):
             SynthSpec(kind="torus", n_points=10, outlier_ratio=0.0)
