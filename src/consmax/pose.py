@@ -557,4 +557,3 @@ def pose_agreement_batch(
     na, nb = _norm(trans_a[rows, pick // kb]), _norm(trans_b[rows, pick % kb])
     scale = np.where(nb > na, nb, na)
     return ((rd[rows, pick] <= eps1) & (tgap[rows, pick] <= eps2 * scale)).astype(np.uint8)
-
