@@ -691,7 +691,7 @@ def pose_table(*pose_sets):
     return rot, trans, np.array([len(s) for s in pose_sets])
 
 
-def pose_agreement(poses_a, poses_b, eps1, eps2):
+def one_row_agreement(poses_a, poses_b, eps1, eps2):
     """One row of ``pose_agreement_batch``."""
     return int(pose_agreement_batch(*pose_table(poses_a), *pose_table(poses_b), eps1, eps2)[0])
 
@@ -700,29 +700,29 @@ class TestPoseAgreement:
     # the agreement rule, through one-row tables of pose_agreement_batch
     def test_identical_poses(self):
         p = Pose(np.eye(3), np.array([0.0, 0, 5]))
-        assert pose_agreement([p], [p], math.radians(10), 0.4) == 1
+        assert one_row_agreement([p], [p], math.radians(10), 0.4) == 1
 
     def test_rotation_gap_beyond_eps1(self):
         a = Pose(np.eye(3), np.array([1.0, 0, 0]))
         b = Pose(rot_z(math.radians(15)), np.array([1.0, 0, 0]))
-        assert pose_agreement([a], [b], math.radians(10), 10.0) == 0
+        assert one_row_agreement([a], [b], math.radians(10), 10.0) == 0
 
     def test_translation_rule_arithmetic(self):
         a = Pose(np.eye(3), np.array([1.0, 0, 0]))
         ok = Pose(np.eye(3), np.array([1.6, 0, 0]))
         # l1 gap 0.6 <= 0.4 * 1.6 agrees
-        assert pose_agreement([a], [ok], math.radians(10), 0.4) == 1
+        assert one_row_agreement([a], [ok], math.radians(10), 0.4) == 1
         bad = Pose(np.eye(3), np.array([1.7, 0, 0]))
         # l1 gap 0.7 > 0.4 * 1.7 disagrees
-        assert pose_agreement([a], [bad], math.radians(10), 0.4) == 0
+        assert one_row_agreement([a], [bad], math.radians(10), 0.4) == 0
 
     def test_symmetric(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
             pa = [Pose(random_rotation(rng), rng.uniform(-1, 1, 3)) for _ in range(2)]
             pb = [Pose(random_rotation(rng), rng.uniform(-1, 1, 3)) for _ in range(3)]
-            lhs = pose_agreement(pa, pb, math.radians(25), 0.8)
-            rhs = pose_agreement(pb, pa, math.radians(25), 0.8)
+            lhs = one_row_agreement(pa, pb, math.radians(25), 0.8)
+            rhs = one_row_agreement(pb, pa, math.radians(25), 0.8)
             assert lhs == rhs
 
     def test_selects_min_rotation_pair(self):
@@ -733,7 +733,7 @@ class TestPoseAgreement:
             Pose(np.eye(3), np.array([0.0, 0, 0.1])),
             Pose(rot_z(math.radians(5)), np.array([10.0, 0, 0])),
         ]
-        assert pose_agreement(a, b, math.radians(10), 0.4) == 0
+        assert one_row_agreement(a, b, math.radians(10), 0.4) == 0
 
 
 class TestIntrinsics:
@@ -798,5 +798,5 @@ class TestBatchedPoseAgreement:
         assert got.tolist() == want
         assert 0 < sum(want) < len(want)
         # a one-row table gives the bit its row gets in the wider batch
-        assert [pose_agreement(a, b, eps1, eps2) for a, b in rows] == want
+        assert [one_row_agreement(a, b, eps1, eps2) for a, b in rows] == want
 
