@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from consmax import io as cio
 from consmax.cli import main
+from consmax.synth import SynthSpec, synth_isometric_instance
 
 
 def run_cli(args):
@@ -415,6 +417,50 @@ class TestGoldenReports:
             "report_r050_s0_exact.json": "a0738377177e429a884e19da7979edbc7fbfb8431e97c2238a8bf35c79593aaa",
             "summary.json": "a26210ba179ea40de12fb81a285e95f74f584d4493b835c6bf0a092766de25ff",
         }
+
+
+class TestGoldenFiles:
+    """sha256 of every file ``synth`` writes, of one ``--trace-out`` run and
+    of one PLY from the mesh writer, recorded before the file formats were
+    moved into one module: each writer must keep every byte."""
+
+    def test_synth_isometric(self, iso_dir):
+        assert {p.name: sha256(p) for p in iso_dir.iterdir()} == {
+            "source.obj": "2794fa08602ab93334efefb9fc786847ed2111984335454f8bd7dc3234c23877",
+            "target.obj": "ec5d4918e80b6943173609e0cd8968f7fd57f9e4b0fa3cc78f87a8441e5aae05",
+            "matches.txt": "b05286dba46c6a1b73c2b1454af6f41f23da5e6e1e9d287cce5bfbd18ba35808",
+        }
+
+    def test_synth_template(self, tpl_dir):
+        assert {p.name: sha256(p) for p in tpl_dir.iterdir()} == {
+            "template.obj": "04d198a6a96f623a4da6e3064dbd8774e830976367e733612de560ca43fcb92d",
+            "image_points.txt": "e5d49ae708e32919a0f8fcbf0887738f88240e88af33636fa8feed42e9b5cb27",
+            "intrinsics.json": "5142bef47a9c5c8c7bc3756d528b0eb0794b9094d1d0f0e279f8dd7fbeaafe69",
+            "matches.txt": "e2e956a686780257bb2bd518229ef0c5fd0d10611b4efa6d5dc77ab16f0a48d8",
+        }
+
+    def test_trace_out(self, tpl36_dir, tmp_path):
+        code = run_cli(
+            template_args(
+                tpl36_dir, "--clusters", "4",
+                "--report-out", str(tmp_path / "r.json"), "--trace-out", str(tmp_path / "tr.csv"),
+            )
+        )
+        assert code == 0
+        assert {p.name: sha256(p) for p in tmp_path.glob("tr*")} == {
+            "tr.c0.csv": "887d464d946922fb1fe270012f55bcb0e42262326e2dead146764879c7124355",
+            "tr.c1.csv": "e6d23c1572f32a98c9b05878c1669402a3aa5447b09f750475737a01ba41bf0a",
+            "tr.c2.csv": "964a3c0a609728f0a6c9e3b92fdc5fc32dc528069baeeb5e64e83bf50a15512f",
+            "tr.c3.csv": "245d3fb07f20fe6cdef058a385072f565a96cba72033e2762abaf6ede6a4bd2f",
+        }
+
+    def test_ply(self, tmp_path):
+        _, target, _ = synth_isometric_instance(
+            SynthSpec(kind="isometric-grid", n_points=12, outlier_ratio=0.0, seed=3)
+        )
+        path = tmp_path / "target.ply"
+        cio.emit_mesh(target, path)
+        assert sha256(path) == "7ea9e6c6e7c622da11140279a87c9eac3ff5b5e3f933aaa6fbd6eab0830ac708"
 
 
 class TestEntryPoint:
