@@ -20,15 +20,9 @@ from .core import (
     build_covering_program,
     kmeans_partition,
 )
-from .io import EvalReport, evaluate_labels
+from .io import EvalReport, emit_mesh, evaluate_labels, load_mesh
 from .isometric import IsometryConfig, isometry_agreement, shape_registration
-from .mesh import (
-    GeodesicTable,
-    TriMesh,
-    geodesic_distances,
-    load_mesh,
-    save_mesh,
-)
+from .mesh import GeodesicTable, TriMesh, geodesic_distances
 from .pose import (
     CameraIntrinsics,
     Pose,
@@ -71,14 +65,14 @@ __all__ = [
     "kmeans_partition",
     "EvalReport",
     "evaluate_labels",
+    "emit_mesh",
+    "load_mesh",
     "IsometryConfig",
     "isometry_agreement",
     "shape_registration",
     "GeodesicTable",
     "TriMesh",
     "geodesic_distances",
-    "load_mesh",
-    "save_mesh",
     "CameraIntrinsics",
     "Pose",
     "p3p_solve",

@@ -21,8 +21,9 @@ import numpy as np
 from . import io as cio
 from .errors import ConsmaxError, MalformedInput
 from .isometric import IsometryConfig, shape_registration_detailed
-from .mesh import TriMesh, load_mesh
-from .solver import SolverConfig, save_trace
+from .io import load_mesh
+from .mesh import TriMesh
+from .solver import SolverConfig
 from .synth import SynthSpec, synth_isometric_instance, synth_template_instance
 from .template import TemplateMatchConfig, template_image_registration
 
@@ -37,44 +38,20 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(time_budget=args.time_budget, node_budget=args.node_budget)
 
 
-def _write_traces(reports, path) -> None:
-    """Write each solved cluster's trace; with more than one cluster the
-    files are numbered by cluster id: ``<root>.c<id><ext>``."""
-    if path is None:
-        return
-    root, ext = os.path.splitext(path)
-    for c, rep in enumerate(reports):
-        if rep.result is not None and rep.result.trace:
-            save_trace(rep.result.trace, path if len(reports) == 1 else f"{root}.c{c}{ext or '.csv'}")
-
-
-def _solver_summary(mode, labels, registration) -> dict:
-    """Report keys every command shares: totals over the solved clusters.
-    Without any solver result (local filtering) the objective is the number
-    of outlier labels."""
-    results = [r.result for r in registration.cluster_reports if r.result is not None]
-    return {
-        "mode": mode,
-        "objective": int(sum(r.objective for r in results)) if results else labels.num_outliers,
-        "lower_bound": float(sum(r.lower_bound for r in results)),
-        "optimal": all(r.optimal for r in results),
-        "wall_time": float(sum(r.wall_time for r in results)),
-    }
-
-
-def _emit(args, labels, registration, solver_summary, config_echo, gt) -> int:
-    """Write the traces and the report of a ``match-*`` run; return its exit code."""
-    _write_traces(registration.cluster_reports, args.trace_out)
+def _report(mode, labels, registration, config_echo, gt, timing, path, **solver_extra) -> dict:
+    """Evaluate one run against ``gt`` (when given), write its report to
+    ``path`` (stdout when None) and return the report."""
     eval_report = cio.evaluate_labels(labels, gt) if gt is not None else None
-    report = cio.build_report(
-        labels, registration.unconstrained, solver_summary, config_echo, eval_report,
-        include_timing=args.timing,
-    )
-    if args.report_out:
-        cio.emit_report(report, args.report_out)
-    else:
-        sys.stdout.write(cio.render_report(report))
-    return EXIT_BUDGET if args.mode == "exact" and not solver_summary["optimal"] else EXIT_OK
+    report = cio.build_report(labels, registration, mode, config_echo, eval_report, timing, **solver_extra)
+    cio.emit_report(report, path)
+    return report
+
+
+def _emit(args, labels, registration, config_echo, gt, **solver_extra) -> int:
+    """Write the traces and the report of a ``match-*`` run; return its exit code."""
+    cio.emit_traces(registration.cluster_reports, args.trace_out)
+    report = _report(args.mode, labels, registration, config_echo, gt, args.timing, args.report_out, **solver_extra)
+    return EXIT_BUDGET if args.mode == "exact" and not report["solver"]["optimal"] else EXIT_OK
 
 
 def cmd_match_shapes(args) -> int:
@@ -90,9 +67,6 @@ def cmd_match_shapes(args) -> int:
     )
     labels, registration = shape_registration_detailed(source, target, matches, config)
     reports = registration.cluster_reports
-    solver_summary = _solver_summary(args.mode, labels, registration)
-    solver_summary["clusters"] = len(reports)
-    solver_summary["violated_constraints"] = int(sum(r.result.violated_constraints for r in reports))
     config_echo = {
         "command": "match-shapes",
         "eps_rel": config.eps_rel,
@@ -101,14 +75,17 @@ def cmd_match_shapes(args) -> int:
         "mode": config.mode,
         "seed": config.seed,
     }
-    return _emit(args, labels, registration, solver_summary, config_echo, matches.gt_labels)
+    return _emit(
+        args, labels, registration, config_echo, matches.gt_labels,
+        clusters=len(reports), violated_constraints=int(sum(r.result.violated_constraints for r in reports)),
+    )
 
 
 def cmd_match_template(args) -> int:
     template = load_mesh(args.template).vertices
     image_points = cio.parse_points(args.image_points, dim=2)
     K = cio.parse_intrinsics(args.intrinsics)
-    matches = cio.parse_matches(args.matches, template, np.column_stack([image_points, np.zeros(len(image_points))]))
+    matches = cio.parse_matches(args.matches, template, image_points)
     config = TemplateMatchConfig(
         eps1=math.radians(args.eps1_deg),
         eps2=args.eps2,
@@ -122,9 +99,6 @@ def cmd_match_template(args) -> int:
     )
     labels, registration = template_image_registration(template, image_points, matches, K, config)
     reports = registration.cluster_reports
-    solver_summary = _solver_summary(args.mode, labels, registration)
-    solver_summary["clusters"] = len(reports)
-    solver_summary["skipped_clusters"] = sum(1 for r in reports if r.skipped)
     config_echo = {
         "command": "match-template",
         "eps1_deg": args.eps1_deg,
@@ -136,7 +110,10 @@ def cmd_match_template(args) -> int:
         "mode": config.mode,
         "seed": config.seed,
     }
-    return _emit(args, labels, registration, solver_summary, config_echo, matches.gt_labels)
+    return _emit(
+        args, labels, registration, config_echo, matches.gt_labels,
+        clusters=len(reports), skipped_clusters=sum(1 for r in reports if r.skipped),
+    )
 
 
 def cmd_synth(args) -> int:
@@ -181,31 +158,23 @@ def cmd_bench(args) -> int:
                     mode=mode, seed=seed, solver=_solver_config(args)
                 )
                 labels, registration = shape_registration_detailed(source, target, matches, config)
-                solver_summary = _solver_summary(mode, labels, registration)
-                ev = cio.evaluate_labels(labels, matches.gt_labels)
-                row = {
+                name = f"report_r{int(round(100 * ratio)):03d}_s{seed}_{mode}.json"
+                report = _report(
+                    mode, labels, registration,
+                    {"command": "bench", "ratio": ratio, "seed": seed, "mode": mode, "n": args.n},
+                    matches.gt_labels, args.timing, os.path.join(args.out_dir, name),
+                )
+                ev = report["eval"]
+                summary.append({
                     "ratio": ratio,
                     "seed": seed,
                     "mode": mode,
-                    "precision": ev.precision,
-                    "recall": ev.recall,
-                    "outliers_removed": ev.outliers_removed,
-                    "outliers_missed": ev.outliers_missed,
-                    "optimal": solver_summary["optimal"],
-                }
-                summary.append(row)
-                report = cio.build_report(
-                    labels,
-                    registration.unconstrained,
-                    solver_summary,
-                    {"command": "bench", "ratio": ratio, "seed": seed, "mode": mode, "n": args.n},
-                    ev,
-                    include_timing=args.timing,
-                )
-                cio.emit_report(
-                    report,
-                    os.path.join(args.out_dir, f"report_r{int(round(100 * ratio)):03d}_s{seed}_{mode}.json"),
-                )
+                    "precision": ev["precision"],
+                    "recall": ev["recall"],
+                    "outliers_removed": ev["outliers_removed"],
+                    "outliers_missed": ev["outliers_missed"],
+                    "optimal": report["solver"]["optimal"],
+                })
     cio.emit_report({"rows": summary}, os.path.join(args.out_dir, "summary.json"))
     sys.stdout.write(f"wrote {len(summary)} runs to {args.out_dir}\n")
     return EXIT_OK

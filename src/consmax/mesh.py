@@ -1,4 +1,5 @@
-"""Triangle meshes, graph geodesics, and OBJ/PLY mesh files.
+"""Triangle meshes and graph geodesics (mesh files are read and written in
+:mod:`consmax.io`).
 
 Geodesic distances are shortest paths over the mesh edge graph with
 Euclidean edge weights -- adequate for thresholded geodesic comparisons on
@@ -8,14 +9,13 @@ k-nearest-neighbour graph instead (k=8).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidArgument, MalformedInput
+from .errors import InvalidArgument
 
 KNN_FALLBACK_K = 8
 
@@ -118,176 +118,3 @@ def geodesic_distances(mesh_or_points, query_ids) -> GeodesicTable:
     np.minimum(sub, sub.T, out=sub)  # paths are symmetric; pick one rounding
     np.fill_diagonal(sub, 0.0)
     return GeodesicTable(point_ids=ids, distances=sub)
-
-
-# ---------------------------------------------------------------------------
-# OBJ / PLY I/O (ASCII subsets)
-# ---------------------------------------------------------------------------
-
-def read_ascii(path) -> str:
-    """The text of an ASCII input file. A file that cannot be read, or that
-    holds a non-ASCII byte, raises MalformedInput."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise MalformedInput(str(exc), str(path)) from None
-    except UnicodeDecodeError as exc:
-        line = exc.object[: exc.start].count(b"\n") + 1
-        raise MalformedInput(f"non-ASCII byte 0x{exc.object[exc.start]:02x}", str(path), line) from None
-
-
-def load_mesh(path) -> TriMesh:
-    text = read_ascii(path)
-    head = text.lstrip()[:3]
-    if head == "ply":
-        return _parse_ply(text, str(path))
-    return _parse_obj(text, str(path))
-
-
-def _parse_obj(text: str, path: str) -> TriMesh:
-    verts, faces = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise MalformedInput("vertex needs 3 coordinates", path, lineno)
-            try:
-                verts.append([float(x) for x in parts[1:4]])
-            except ValueError:
-                raise MalformedInput("bad vertex coordinate", path, lineno) from None
-            if not all(map(math.isfinite, verts[-1])):
-                raise MalformedInput("non-finite vertex coordinate", path, lineno)
-        elif parts[0] == "f":
-            if len(parts) != 4:
-                raise MalformedInput("only triangular faces supported", path, lineno)
-            idx = []
-            for tok in parts[1:]:
-                tok = tok.split("/")[0]
-                try:
-                    i = int(tok)
-                except ValueError:
-                    raise MalformedInput("bad face index", path, lineno) from None
-                if i < 1:
-                    raise MalformedInput("face indices must be positive (1-based)", path, lineno)
-                idx.append(i - 1)
-            if len(set(idx)) != 3:
-                raise MalformedInput("face repeats a vertex", path, lineno)
-            faces.append(idx)
-        # other records (vn, vt, o, g, s, usemtl ...) are ignored
-    if not verts:
-        raise MalformedInput("no vertices", path, 1)
-    if faces and max(max(f) for f in faces) >= len(verts):
-        raise MalformedInput("face index out of range", path, 1)
-    return TriMesh(
-        vertices=np.asarray(verts, dtype=np.float64),
-        triangles=np.asarray(faces, dtype=np.int64).reshape(-1, 3),
-    )
-
-
-def _parse_ply(text: str, path: str) -> TriMesh:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise MalformedInput("missing ply magic", path, 1)
-    n_vert = n_face = None
-    vert_props: list[str] = []
-    in_vertex_element = False
-    body_start = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if line == "end_header":
-            body_start = lineno
-            break
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "format":
-            if parts[1:2] != ["ascii"]:
-                raise MalformedInput("only ascii PLY supported", path, lineno)
-        elif parts[0] == "element":
-            try:
-                count = int(parts[2])
-            except (ValueError, IndexError):
-                raise MalformedInput("element needs a name and an integer count", path, lineno) from None
-            if count < 0:
-                raise MalformedInput("negative element count", path, lineno)
-            in_vertex_element = parts[1] == "vertex"
-            if parts[1] == "vertex":
-                n_vert = count
-            elif parts[1] == "face":
-                n_face = count
-        elif parts[0] == "property" and in_vertex_element and parts[1:2] != ["list"]:
-            vert_props.append(parts[-1])
-    if body_start is None or n_vert is None:
-        raise MalformedInput("incomplete PLY header", path, 1)
-    try:
-        ix, iy, iz = (vert_props.index(k) for k in ("x", "y", "z"))
-    except ValueError:
-        raise MalformedInput("vertex element must carry x y z", path, 1) from None
-    body = [
-        (lineno, ln.strip())
-        for lineno, ln in enumerate(lines[body_start:], start=body_start + 1)
-        if ln.strip()
-    ]
-    if len(body) < n_vert + (n_face or 0):
-        raise MalformedInput("truncated PLY body", path, body_start)
-    verts = np.empty((n_vert, 3))
-    for k in range(n_vert):
-        lineno, ln = body[k]
-        parts = ln.split()
-        try:
-            xyz = [float(parts[ix]), float(parts[iy]), float(parts[iz])]
-        except (ValueError, IndexError):
-            raise MalformedInput("bad vertex line", path, lineno) from None
-        if not all(map(math.isfinite, xyz)):
-            raise MalformedInput("non-finite vertex coordinate", path, lineno)
-        verts[k] = xyz
-    faces = []
-    for k in range(n_face or 0):
-        lineno, ln = body[n_vert + k]
-        parts = ln.split()
-        try:
-            cnt = int(parts[0])
-            idx = [int(t) for t in parts[1:1 + cnt]]
-        except (ValueError, IndexError):
-            raise MalformedInput("bad face line", path, lineno) from None
-        if len(idx) != cnt:
-            raise MalformedInput(f"face line lists {len(idx)} of its {cnt} indices", path, lineno)
-        if cnt != 3:
-            raise MalformedInput("only triangular faces supported", path, lineno)
-        if min(idx) < 0 or max(idx) >= n_vert:
-            raise MalformedInput("face index out of range", path, lineno)
-        if len(set(idx)) != 3:
-            raise MalformedInput("face repeats a vertex", path, lineno)
-        faces.append(idx)
-    return TriMesh(
-        vertices=verts, triangles=np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    )
-
-
-def save_mesh(mesh: TriMesh, path) -> None:
-    """Write OBJ or PLY depending on the path suffix (ASCII, round-trip safe)."""
-    p = str(path)
-    if p.endswith(".ply"):
-        out = ["ply", "format ascii 1.0", f"element vertex {mesh.num_vertices}"]
-        out += [f"property double {ax}" for ax in "xyz"]
-        out += [
-            f"element face {len(mesh.triangles)}",
-            "property list uchar int vertex_indices",
-            "end_header",
-        ]
-        for v in mesh.vertices:
-            out.append(" ".join(f"{x:.17g}" for x in v))
-        for f in mesh.triangles:
-            out.append("3 " + " ".join(str(int(i)) for i in f))
-    else:
-        out = []
-        for v in mesh.vertices:
-            out.append("v " + " ".join(f"{x:.17g}" for x in v))
-        for f in mesh.triangles:
-            out.append("f " + " ".join(str(int(i) + 1) for i in f))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(out) + "\n")

@@ -26,7 +26,6 @@ only batched, as ``pose_agreement_batch``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -59,23 +58,6 @@ class CameraIntrinsics:
             [(px[:, 0] - self.cx) / self.fx, (px[:, 1] - self.cy) / self.fy, np.ones(len(px))]
         )
         return rays / np.linalg.norm(rays, axis=1, keepdims=True)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy},
-            sort_keys=True, indent=2,
-        ) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "CameraIntrinsics":
-        from .errors import MalformedInput
-
-        try:
-            doc = json.loads(text)
-            return cls(fx=float(doc["fx"]), fy=float(doc["fy"]),
-                       cx=float(doc["cx"]), cy=float(doc["cy"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad intrinsics JSON: {exc}") from None
 
 
 def _check_rotation(R: np.ndarray, atol: float = _ROT_ATOL) -> np.ndarray:

@@ -490,16 +490,3 @@ def solve_relaxed(program: CoveringProgram, config: SolverConfig = SolverConfig(
     labels = np.where(z >= 0.5, OUTLIER, INLIER).astype(np.int8)
     covered = np.add.reduceat(labels[indices] == OUTLIER, indptr[:-1]) > 0
     return _finish(t0, labels, obj, True, [], violated=int((~covered).sum()))
-
-
-TRACE_HEADER = "iteration,upper,lower,open_nodes"
-
-
-def save_trace(trace, path) -> None:
-    """Trace CSV: the header, then one ``iteration,upper,lower,open_nodes``
-    row per entry; ``lower`` is written with ``repr`` so it reads back
-    exactly."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for e in trace:
-            fh.write(f"{e.iteration},{e.upper_bound},{e.lower_bound!r},{e.open_nodes}\n")

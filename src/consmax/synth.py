@@ -139,6 +139,8 @@ def synth_template_instance(
     flat = grid_mesh(spec.n_points, spacing=spacing).vertices
     flat = flat - flat.mean(axis=0)
     template = _bend(flat, spec.bend_radius)
+    if not np.isfinite(template).all():  # x / radius overflowed
+        raise InvalidArgument("bend_radius too small: the bent template is not finite")
 
     # mild pose jitter; depth keeps the whole grid inside the frame
     axis = rng.normal(size=3)

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from consmax import io as cio
@@ -93,6 +94,20 @@ class TestSynth:
         assert code == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
+
+    def test_tiny_bend_radius_exits_1(self, tmp_path, capsys):
+        # x / radius overflows to inf, so the bent template would be NaN
+        out = tmp_path / "x"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(
+                [
+                    "synth", "--kind", "template-bend", "--n", "36", "--outlier-ratio", "0.3",
+                    "--bend-radius", "1e-320", "--out-dir", str(out),
+                ]
+            )
+        assert code == 1
+        assert "bend_radius" in capsys.readouterr().err
+        assert not (out / "template.obj").exists()
 
 
 class TestMatchShapes:
@@ -242,7 +257,10 @@ class TestMatchShapes:
             ]
         )
         assert code == 0
-        assert json.loads(p.read_text())["solver"]["wall_time"] > 0
+        report = json.loads(p.read_text())
+        assert report["solver"]["wall_time"] > 0
+        # the evaluation has no clock of its own: its key stays null
+        assert report["eval"]["wall_time"] is None
 
 
 class TestMatchTemplate:

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from consmax.errors import InvalidArgument, MalformedInput
-from consmax.mesh import (
-    TriMesh,
-    geodesic_distances,
-    knn_graph,
-    load_mesh,
-    save_mesh,
-)
+from consmax.io import emit_mesh, load_mesh
+from consmax.mesh import TriMesh, geodesic_distances, knn_graph
 from consmax.synth import grid_mesh
 
 
@@ -125,7 +120,7 @@ class TestMeshIO:
     def test_obj_round_trip(self, tmp_path):
         mesh = chain_mesh()
         path = tmp_path / "m.obj"
-        save_mesh(mesh, path)
+        emit_mesh(mesh, path)
         back = load_mesh(path)
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.triangles, mesh.triangles)
@@ -133,7 +128,7 @@ class TestMeshIO:
     def test_ply_round_trip(self, tmp_path):
         mesh = chain_mesh()
         path = tmp_path / "m.ply"
-        save_mesh(mesh, path)
+        emit_mesh(mesh, path)
         back = load_mesh(path)
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.triangles, mesh.triangles)

@@ -9,6 +9,7 @@ from consmax.errors import (
     InvalidRotation,
     MalformedInput,
 )
+from consmax.io import parse_intrinsics
 from consmax.pose import (
     CameraIntrinsics,
     Pose,
@@ -741,14 +742,12 @@ class TestIntrinsics:
         with pytest.raises(InvalidArgument):
             CameraIntrinsics(0.0, 1.0, 0.0, 0.0)
 
-    def test_json_round_trip(self):
-        K = CameraIntrinsics(800.0, 790.5, 320.0, 240.0)
-        back = CameraIntrinsics.from_json(K.to_json())
-        assert back == K
-
-    def test_bad_json(self):
-        with pytest.raises(MalformedInput):
-            CameraIntrinsics.from_json("{\"fx\": 1.0}")
+    def test_bad_json(self, tmp_path):
+        path = tmp_path / "K.json"
+        path.write_text("{\"fx\": 1.0}")
+        with pytest.raises(MalformedInput) as exc:
+            parse_intrinsics(path)
+        assert exc.value.path == str(path)
 
     @pytest.mark.parametrize("fx,cx", [(math.inf, 320.0), (800.0, math.inf), (800.0, math.nan)])
     def test_finite_fields(self, fx, cx):
@@ -760,10 +759,12 @@ class TestIntrinsics:
         ['{"fx": 800, "fy": 800, "cx": Infinity, "cy": 240}', '{"fx": Infinity, "fy": 800, "cx": 320, "cy": 240}'],
         ids=["cx", "fx"],
     )
-    def test_non_finite_json(self, text):
+    def test_non_finite_json(self, tmp_path, text):
         # json.loads accepts Infinity and NaN
-        with pytest.raises(MalformedInput):
-            CameraIntrinsics.from_json(text)
+        path = tmp_path / "K.json"
+        path.write_text(text)
+        with pytest.raises(MalformedInput, match="intrinsics must be finite"):
+            parse_intrinsics(path)
 
     def test_bearing_unit_norm(self):
         K = CameraIntrinsics(800.0, 800.0, 320.0, 240.0)

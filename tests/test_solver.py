@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from consmax import _kernels
-from consmax.core import CoveringProgram
+from consmax.core import ClusterReport, CoveringProgram
 from consmax.errors import InvalidArgument, TooLarge
+from consmax.io import emit_traces
 from consmax.solver import (
     SolverConfig,
     _solve_lp_bnb,
     brute_force_oracle,
     lp_lower_bound,
-    save_trace,
     solve_exact,
     solve_relaxed,
 )
@@ -452,7 +452,7 @@ class TestInstanceFormat:
     def test_trace_round_trip(self, tmp_path):
         res = solve_exact(prog(3, (0, 1), (1, 2)))
         path = tmp_path / "trace.csv"
-        save_trace(res.trace, path)
+        emit_traces([ClusterReport(np.arange(3), False, res)], path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iteration", "upper", "lower", "open_nodes"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from consmax import _kernels
-from consmax.core import LabelVector, MatchSet
+from consmax.core import ClusterReport, CoveringProgram, LabelVector, MatchSet, Registration
 from consmax.errors import InvalidArgument, LengthMismatch, MalformedInput
 from consmax.io import (
     build_report,
@@ -16,9 +16,9 @@ from consmax.io import (
     parse_intrinsics,
     parse_matches,
     parse_points,
-    render_report,
 )
 from consmax.pose import CameraIntrinsics
+from consmax.solver import solve_exact
 from consmax.synth import (
     SynthSpec,
     grid_mesh,
@@ -252,13 +252,10 @@ class TestFileFormats:
 
     def test_report_round_trip(self, tmp_path):
         labels = LabelVector(np.array([0, 1], dtype=np.int8))
-        report = build_report(
-            labels,
-            np.array([False, True]),
-            {"mode": "exact", "objective": 1, "lower_bound": 1.0, "optimal": True, "wall_time": 0.5},
-            {"command": "test"},
-            evaluate_labels(labels, labels),
-        )
+        result = solve_exact(CoveringProgram.from_constraints(2, [(1,)]))
+        registration = Registration([ClusterReport(np.arange(2), False, result)], np.array([False, True]))
+        report = build_report(labels, registration, "exact", {"command": "test"}, evaluate_labels(labels, labels))
+        assert report["solver"]["objective"] == 1 and report["solver"]["optimal"]
         path = tmp_path / "r.json"
         emit_report(report, path)
         with open(path, encoding="ascii") as fh:
@@ -266,9 +263,11 @@ class TestFileFormats:
         assert back == report
         assert back["solver"]["wall_time"] is None  # timing off by default
 
-    def test_report_rendering_stable(self):
+    def test_report_rendering_stable(self, tmp_path, capsys):
         labels = LabelVector(np.array([0], dtype=np.int8))
-        report = build_report(
-            labels, np.array([False]), {"objective": 0, "wall_time": 1.23}, {"c": 1}
-        )
-        assert render_report(report) == render_report(report)
+        registration = Registration([ClusterReport(np.arange(1), False, None)], np.array([False]))
+        report = build_report(labels, registration, "local-filter", {"c": 1}, include_timing=True)
+        assert report["solver"]["objective"] == 0
+        emit_report(report, tmp_path / "r.json")
+        emit_report(report)
+        assert capsys.readouterr().out == (tmp_path / "r.json").read_text()
