@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import INLIER, OUTLIER, LabelVector, MatchSet
+from .core import INLIER, OUTLIER, LabelVector, MatchSet, Registration
 from .errors import LengthMismatch, MalformedInput
 from .mesh import TriMesh
 from .pose import CameraIntrinsics
@@ -414,7 +414,7 @@ def evaluate_labels(predicted: LabelVector, gt: LabelVector) -> EvalReport:
 
 def build_report(
     labels: LabelVector,
-    registration,
+    registration: Registration,
     mode: str,
     config_echo: dict,
     eval_report: Optional[EvalReport] = None,
