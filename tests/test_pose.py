@@ -9,7 +9,7 @@ from consmax.errors import (
     InvalidRotation,
     MalformedInput,
 )
-from consmax.io import parse_intrinsics
+from consmax.io import emit_intrinsics, parse_intrinsics
 from consmax.pose import (
     CameraIntrinsics,
     Pose,
@@ -741,6 +741,12 @@ class TestIntrinsics:
     def test_positive_focals(self):
         with pytest.raises(InvalidArgument):
             CameraIntrinsics(0.0, 1.0, 0.0, 0.0)
+
+    def test_json_round_trip(self, tmp_path):
+        K = CameraIntrinsics(800.0, 790.5, 320.0, 240.0)
+        path = tmp_path / "K.json"
+        emit_intrinsics(K, path)
+        assert parse_intrinsics(path) == K
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "K.json"
