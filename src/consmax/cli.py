@@ -57,7 +57,7 @@ def _emit(args, labels, registration, config_echo, gt, **solver_extra) -> int:
 def cmd_match_shapes(args) -> int:
     source = load_mesh(args.source)
     target = load_mesh(args.target)
-    matches = cio.parse_matches(args.matches, source.vertices, target.vertices)
+    matches = cio.parse_matches(args.matches)
     config = IsometryConfig(
         eps_rel=args.eps_rel,
         clusters=args.clusters,
@@ -85,7 +85,7 @@ def cmd_match_template(args) -> int:
     template = load_mesh(args.template).vertices
     image_points = cio.parse_points(args.image_points, dim=2)
     K = cio.parse_intrinsics(args.intrinsics)
-    matches = cio.parse_matches(args.matches, template, image_points)
+    matches = cio.parse_matches(args.matches)
     config = TemplateMatchConfig(
         eps1=math.radians(args.eps1_deg),
         eps2=args.eps2,
@@ -125,14 +125,16 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         bend_radius=args.bend_radius,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
+    # built before the directory is made, so a rejected instance leaves nothing
     if spec.kind == "isometric-grid":
         source, target, matches = synth_isometric_instance(spec)
+        os.makedirs(args.out_dir, exist_ok=True)
         cio.emit_mesh(source, os.path.join(args.out_dir, "source.obj"))
         cio.emit_mesh(target, os.path.join(args.out_dir, "target.obj"))
         cio.emit_matches(matches, os.path.join(args.out_dir, "matches.txt"))
     else:
         template, image, K, matches = synth_template_instance(spec)
+        os.makedirs(args.out_dir, exist_ok=True)
         cio.emit_mesh(
             TriMesh(vertices=template, triangles=np.empty((0, 3), dtype=np.int64)),
             os.path.join(args.out_dir, "template.obj"),

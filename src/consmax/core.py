@@ -30,15 +30,6 @@ INLIER = 0
 OUTLIER = 1
 
 
-def _as_points(arr, dim_choices=(3,), name="points"):
-    out = np.asarray(arr, dtype=np.float64)
-    if out.ndim != 2 or out.shape[1] not in dim_choices:
-        raise InvalidArgument(f"{name} must be an (n, {dim_choices}) array, got {out.shape}")
-    if not np.isfinite(out).all():
-        raise InvalidArgument(f"{name} contains non-finite values")
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class LabelVector:
     """Per-match inlier/outlier labels; ``z[i] == 1`` marks match ``i`` as outlier."""
@@ -79,39 +70,31 @@ class LabelVector:
 
 @dataclass(frozen=True)
 class MatchSet:
-    """Indexed point correspondences between two domains (3D-3D or 3D-2D).
+    """Indexed correspondences between two domains (3D-3D or 3D-2D).
 
-    ``pairs[k] = (i, j)`` matches ``source_points[i]`` to ``target_points[j]``.
+    ``pairs[k] = (i, j)`` matches point ``i`` of the source to point ``j`` of
+    the target; the points themselves are the shapes each pipeline receives
+    beside the match set, which checks the indices against them.
     ``gt_labels``, when present, records the known inlier/outlier status of
     each pair (used by synthetic benchmarks only).
     """
 
-    source_points: np.ndarray
-    target_points: np.ndarray
     pairs: np.ndarray
     gt_labels: Optional[LabelVector] = None
 
     def __post_init__(self):
-        src = _as_points(self.source_points, (3,), "source_points")
-        tgt = _as_points(self.target_points, (2, 3), "target_points")
         pairs = np.asarray(self.pairs, dtype=np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise InvalidArgument("pairs must be a (p, 2) index array")
-        if pairs.size:
-            if pairs.min() < 0 or pairs[:, 0].max() >= len(src) or pairs[:, 1].max() >= len(tgt):
-                raise InvalidArgument("pair indices out of range of their point lists")
+        if pairs.size and pairs.min() < 0:
+            raise InvalidArgument("pair indices must be non-negative")
         if self.gt_labels is not None and len(self.gt_labels) != len(pairs):
             raise InvalidArgument("gt_labels length must equal number of pairs")
-        for name, arr in (("source_points", src), ("target_points", tgt), ("pairs", pairs)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return int(self.pairs.shape[0])
-
-    @property
-    def matched_source(self) -> np.ndarray:
-        return self.source_points[self.pairs[:, 0]]
 
 
 @dataclass(frozen=True)

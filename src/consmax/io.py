@@ -8,7 +8,9 @@ path and, where one is to blame, its line):
                  properties, triangular faces), chosen by content on read
                  and by the ``.ply`` suffix on write
 * matches:       line 1 ``count``, then ``src_idx tgt_idx [gt_flag]`` per
-                 line, 0-based; ``gt_flag`` is 0 (inlier) or 1 (outlier)
+                 line, 0-based; ``gt_flag`` is 0 (inlier) or 1 (outlier).
+                 The file holds all of a MatchSet, so reading back what
+                 ``emit_matches`` wrote gives the same pairs and labels
 * points:        line 1 ``count``, then one point per line (2 or 3 floats)
 * intrinsics:    JSON with fields fx, fy, cx, cy
 * report:        JSON (sorted keys, 2-space indent); the solver's wall time
@@ -248,9 +250,9 @@ def emit_matches(matches: MatchSet, path) -> None:
     _write_lines(path, lines)
 
 
-def parse_matches(path, source_points=None, target_points=None) -> MatchSet:
-    """Read a matches file. Point arrays default to placeholders large
-    enough for the indices (callers binding real geometry pass their own)."""
+def parse_matches(path) -> MatchSet:
+    """Read a matches file; the indices are checked against the shapes by
+    the pipeline that receives them."""
     lines = _counted_lines(path, "matches", "match", "match lines")
     count = len(lines)
     pairs = np.empty((count, 2), dtype=np.int64)
@@ -273,18 +275,7 @@ def parse_matches(path, source_points=None, target_points=None) -> MatchSet:
     if flags and len(flags) != count:
         raise MalformedInput("gt_flag must be present on every line or none", str(path), 1)
     gt = LabelVector(np.asarray(flags, dtype=np.int8)) if flags else None
-    if source_points is None:
-        n_src = int(pairs[:, 0].max()) + 1 if count else 1
-        source_points = np.zeros((n_src, 3))
-    if target_points is None:
-        n_tgt = int(pairs[:, 1].max()) + 1 if count else 1
-        target_points = np.zeros((n_tgt, 3))
-    return MatchSet(
-        source_points=source_points,
-        target_points=target_points,
-        pairs=pairs,
-        gt_labels=gt,
-    )
+    return MatchSet(pairs=pairs, gt_labels=gt)
 
 
 # ---------------------------------------------------------------------------

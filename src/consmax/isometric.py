@@ -23,7 +23,7 @@ from .core import (
     register_clusters,
 )
 from .errors import EmptyMatches, GeodesicFailure, InvalidArgument
-from .mesh import TriMesh, geodesic_distances
+from .mesh import TriMesh, geodesic_distances, shape_points
 from .solver import SolverConfig, solve_exact, solve_relaxed
 
 ShapeLike = Union[TriMesh, np.ndarray]
@@ -72,12 +72,6 @@ def isometry_agreement(g_source, g_target, eps_rel: float, eps_abs: float):
     return (np.abs(g_source - g_target) <= np.maximum(eps_rel * g_source, eps_abs)).astype(np.uint8)
 
 
-def _num_points(shape: ShapeLike) -> int:
-    if isinstance(shape, TriMesh):
-        return shape.num_vertices
-    return len(np.asarray(shape))
-
-
 def shape_registration(
     source: ShapeLike,
     target: ShapeLike,
@@ -87,7 +81,8 @@ def shape_registration(
     """Label every match inlier/outlier; returns per-cluster solver results.
 
     ``source``/``target`` may be triangle meshes or raw point clouds (a
-    symmetric k-NN graph substitutes for missing connectivity).
+    symmetric k-NN graph substitutes for missing connectivity); matches are
+    clustered on the source points that ``matches.pairs[:, 0]`` picks.
     """
     labels, registration = shape_registration_detailed(source, target, matches, config)
     return labels, [r.result for r in registration.cluster_reports]
@@ -103,11 +98,12 @@ def shape_registration_detailed(
     p = len(matches)
     if p == 0:
         raise EmptyMatches("match set is empty")
-    if matches.pairs[:, 0].max() >= _num_points(source) or matches.pairs[:, 1].max() >= _num_points(target):
-        raise EmptyMatches("matches reference points outside the given shapes")
-
     src_ids = matches.pairs[:, 0]
     tgt_ids = matches.pairs[:, 1]
+    src_points = shape_points(source)
+    if src_ids.max() >= len(src_points) or tgt_ids.max() >= len(shape_points(target)):
+        raise EmptyMatches("matches reference points outside the given shapes")
+
     src_unique = np.unique(src_ids)
     tgt_unique = np.unique(tgt_ids)
     src_table = geodesic_distances(source, src_unique)
@@ -119,9 +115,8 @@ def shape_registration_detailed(
     diameter = float(np.max(src_d, where=np.isfinite(src_d), initial=0.0))
     eps_abs = config.eps_abs_frac * diameter
 
-    src_coords = matches.matched_source
     m = config.effective_clusters(p)
-    partition = kmeans_partition(src_coords, m, config.seed)
+    partition = kmeans_partition(src_points[src_ids], m, config.seed)
 
     solve = solve_exact if config.mode == "exact" else solve_relaxed
 

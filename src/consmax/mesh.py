@@ -3,8 +3,8 @@
 
 Geodesic distances are shortest paths over the mesh edge graph with
 Euclidean edge weights -- adequate for thresholded geodesic comparisons on
-reasonably dense meshes. Point clouds without connectivity get a symmetric
-k-nearest-neighbour graph instead (k=8).
+reasonably dense meshes. Point clouds and meshes without triangles get a
+symmetric k-nearest-neighbour graph instead (k=8).
 """
 
 from __future__ import annotations
@@ -83,38 +83,45 @@ def knn_graph(points, k: int = KNN_FALLBACK_K):
 
 @dataclass(frozen=True)
 class GeodesicTable:
-    point_ids: np.ndarray
     distances: np.ndarray  # symmetric, zero diagonal, +inf across components
 
     def __post_init__(self):
-        ids = np.asarray(self.point_ids, dtype=np.int64)
         d = np.asarray(self.distances, dtype=np.float64)
-        if d.shape != (len(ids), len(ids)):
-            raise InvalidArgument("distance matrix shape mismatch")
-        ids.setflags(write=False)
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise InvalidArgument("distance matrix must be square")
         d.setflags(write=False)
-        object.__setattr__(self, "point_ids", ids)
         object.__setattr__(self, "distances", d)
+
+
+def shape_points(mesh_or_points) -> np.ndarray:
+    """The vertices of a TriMesh, or a raw (n, d) point cloud as float64;
+    raises InvalidArgument unless every coordinate is finite."""
+    if isinstance(mesh_or_points, TriMesh):
+        pts = mesh_or_points.vertices
+    else:
+        pts = np.asarray(mesh_or_points, dtype=np.float64)
+    if pts.ndim != 2 or not np.isfinite(pts).all():
+        raise InvalidArgument(f"shape points must be a finite (n, d) array, got shape {pts.shape}")
+    return pts
 
 
 def geodesic_distances(mesh_or_points, query_ids) -> GeodesicTable:
     """Pairwise edge-graph shortest-path distances between query vertices.
 
-    Accepts a TriMesh or a raw (n,3) point cloud (k-NN graph fallback).
+    Accepts a TriMesh or a raw (n,3) point cloud; a point cloud, or a mesh
+    without triangles, gets the k-NN graph instead of mesh edges.
     """
-    if isinstance(mesh_or_points, TriMesh):
+    pts = shape_points(mesh_or_points)
+    if isinstance(mesh_or_points, TriMesh) and len(mesh_or_points.triangles):
         indptr, indices, weights = mesh_or_points.edge_graph
-        n = mesh_or_points.num_vertices
     else:
-        pts = np.asarray(mesh_or_points, dtype=np.float64)
         indptr, indices, weights = knn_graph(pts)
-        n = len(pts)
     ids = np.asarray(query_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
+    if ids.size and (ids.min() < 0 or ids.max() >= len(pts)):
         raise InvalidArgument("query id out of range")
-    table = _kernels.dijkstra_table(indptr, indices, weights, ids, n)
+    table = _kernels.dijkstra_table(indptr, indices, weights, ids, len(pts))
     sub = table[:, ids]
     del table
     np.minimum(sub, sub.T, out=sub)  # paths are symmetric; pick one rounding
     np.fill_diagonal(sub, 0.0)
-    return GeodesicTable(point_ids=ids, distances=sub)
+    return GeodesicTable(distances=sub)

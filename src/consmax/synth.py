@@ -102,22 +102,19 @@ def synth_isometric_instance(spec: SynthSpec) -> tuple[TriMesh, TriMesh, MatchSe
     target = TriMesh(vertices=moved, triangles=source.triangles)
     pairs, outlier_idx = _reassigned_pairs(spec.n_points, spec.num_outliers, rng)
     gt = LabelVector.from_outlier_indices(spec.n_points, outlier_idx)
-    matches = MatchSet(
-        source_points=source.vertices,
-        target_points=target.vertices,
-        pairs=pairs,
-        gt_labels=gt,
-    )
-    return source, target, matches
+    return source, target, MatchSet(pairs, gt)
 
 
 def _bend(points: np.ndarray, radius: float) -> np.ndarray:
-    """Isometric cylindrical bend of the z=0 plane (arc length preserved)."""
+    """Isometric cylindrical bend of the z=0 plane (arc length preserved).
+    A radius so small that ``x / radius`` overflows gives non-finite points,
+    without a warning; the caller rejects them."""
     out = np.empty_like(points)
-    ang = points[:, 0] / radius
-    out[:, 0] = radius * np.sin(ang)
-    out[:, 1] = points[:, 1]
-    out[:, 2] = radius * (1.0 - np.cos(ang))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ang = points[:, 0] / radius
+        out[:, 0] = radius * np.sin(ang)
+        out[:, 1] = points[:, 1]
+        out[:, 2] = radius * (1.0 - np.cos(ang))
     return out
 
 
@@ -181,10 +178,4 @@ def synth_template_instance(
                 break
     gt = LabelVector.from_outlier_indices(spec.n_points, outlier_idx)
     pairs = np.column_stack([np.arange(spec.n_points, dtype=np.int64)] * 2)
-    matches = MatchSet(
-        source_points=template,
-        target_points=image,
-        pairs=pairs,
-        gt_labels=gt,
-    )
-    return template, image, K, matches
+    return template, image, K, MatchSet(pairs, gt)

@@ -31,6 +31,8 @@ MODES = ("exact", "relaxed", "local-filter")
 _COLLINEAR_REL = 1e-6
 # a cluster needs one pair of triangles sharing two matches to have an edge
 MIN_CLUSTER_MATCHES = 4
+# local filtering labels a match in fewer incident edges an outlier
+MIN_INCIDENT_EDGES = 3
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,6 @@ class TemplateMatchConfig:
     edges_per_point_cap: int = 30
     clusters: int = 1
     tau: float = 0.5
-    min_incident_edges: int = 3
     solver: SolverConfig = field(default_factory=SolverConfig)
     mode: str = "exact"
     seed: int = 0
@@ -198,6 +199,8 @@ def template_image_registration(
     """
     tpts = np.asarray(template_points, dtype=np.float64).reshape(-1, 3)
     ipts = np.asarray(image_points, dtype=np.float64).reshape(-1, 2)
+    if not (np.isfinite(tpts).all() and np.isfinite(ipts).all()):
+        raise InvalidArgument("template and image points must be finite")
     p = len(matches)
     if p == 0:
         raise EmptyMatches("match set is empty")
@@ -214,7 +217,7 @@ def template_image_registration(
         graph = build_triangle_graph(mt[idx], mi[idx], K, config)
         program = build_covering_program(graph)
         if config.mode == "local-filter":
-            labels = local_filtering(graph, config.tau, config.min_incident_edges, len(idx))
+            labels = local_filtering(graph, config.tau, MIN_INCIDENT_EDGES, len(idx))
             return program, labels, None
         result = solve(program, config.solver)
         return program, result.labels, result

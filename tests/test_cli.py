@@ -8,6 +8,7 @@ import pytest
 
 from consmax import io as cio
 from consmax.cli import main
+from consmax.mesh import TriMesh
 from consmax.synth import SynthSpec, synth_isometric_instance
 
 
@@ -96,18 +97,21 @@ class TestSynth:
         assert not out.exists()
 
     def test_tiny_bend_radius_exits_1(self, tmp_path, capsys):
-        # x / radius overflows to inf, so the bent template would be NaN
+        # x / radius overflows to inf, so the bent template would be NaN; the
+        # instance is refused before its directory is made, and quietly
+        # (a RuntimeWarning would fail the suite)
         out = tmp_path / "x"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli(
-                [
-                    "synth", "--kind", "template-bend", "--n", "36", "--outlier-ratio", "0.3",
-                    "--bend-radius", "1e-320", "--out-dir", str(out),
-                ]
-            )
+        code = run_cli(
+            [
+                "synth", "--kind", "template-bend", "--n", "36", "--outlier-ratio", "0.3",
+                "--bend-radius", "1e-320", "--out-dir", str(out),
+            ]
+        )
         assert code == 1
-        assert "bend_radius" in capsys.readouterr().err
-        assert not (out / "template.obj").exists()
+        err = capsys.readouterr().err
+        assert "bend_radius" in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
 
 
 class TestMatchShapes:
@@ -162,6 +166,47 @@ class TestMatchShapes:
             ]
         )
         assert code == 2
+
+    def test_match_past_last_vertex_exits_1(self, iso_dir, tmp_path, capsys):
+        # 64 vertices on each shape: index 64 is one past the last
+        bad = tmp_path / "matches.txt"
+        bad.write_text("2\n0 0\n64 1\n")
+        report_path = tmp_path / "r.json"
+        code = run_cli(
+            [
+                "match-shapes",
+                "--source", str(iso_dir / "source.obj"),
+                "--target", str(iso_dir / "target.obj"),
+                "--matches", str(bad),
+                "--report-out", str(report_path),
+            ]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not report_path.exists()
+
+    def test_point_cloud_objs(self, tmp_path):
+        # OBJs without faces: geodesics run on the k-NN graph, as for raw
+        # point arrays, and find the 15 reassigned matches
+        source, target, matches = synth_isometric_instance(
+            SynthSpec(kind="isometric-grid", n_points=49, outlier_ratio=0.3, seed=9)
+        )
+        for name, mesh in (("source.obj", source), ("target.obj", target)):
+            cio.emit_mesh(TriMesh(mesh.vertices, np.empty((0, 3), dtype=np.int64)), tmp_path / name)
+        cio.emit_matches(matches, tmp_path / "matches.txt")
+        report_path = tmp_path / "r.json"
+        code = run_cli(
+            [
+                "match-shapes",
+                "--source", str(tmp_path / "source.obj"),
+                "--target", str(tmp_path / "target.obj"),
+                "--matches", str(tmp_path / "matches.txt"),
+                "--report-out", str(report_path),
+            ]
+        )
+        assert code == 0
+        ev = json.loads(report_path.read_text())["eval"]
+        assert (ev["outliers_removed"], ev["outliers_missed"], ev["true_inliers_lost"]) == (15, 0, 0)
 
     def test_malformed_ply_exit_2(self, iso_dir, tmp_path, capsys):
         bad = tmp_path / "bad.ply"
@@ -321,6 +366,16 @@ class TestMatchTemplate:
         code = run_cli(template_args(tpl36_dir, "--edge-cap", "0", "--report-out", str(tmp_path / "r.json")))
         assert code == 1
         assert "edges_per_point_cap must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_match_past_last_point_exits_1(self, tpl36_dir, tmp_path, capsys):
+        # 36 template and image points: index 36 is one past the last
+        bad = tmp_path / "matches.txt"
+        bad.write_text("5\n0 0\n1 1\n2 2\n3 3\n4 36\n")
+        args = replace_file(template_args(tpl36_dir), tpl36_dir / "matches.txt", bad)
+        code = run_cli([*args, "--report-out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_bad_intrinsics_exit_2(self, tpl_dir, tmp_path):

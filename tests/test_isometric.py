@@ -16,7 +16,7 @@ from consmax.synth import SynthSpec, grid_mesh, synth_isometric_instance
 def identity_matchset(mesh, n=None):
     n = n or mesh.num_vertices
     pairs = np.column_stack([np.arange(n)] * 2)
-    return MatchSet(mesh.vertices, mesh.vertices, pairs)
+    return MatchSet(pairs)
 
 
 class TestIsometryAgreement:
@@ -69,9 +69,18 @@ class TestShapeRegistration:
         with pytest.raises(EmptyMatches):
             shape_registration(mesh, other, ms)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, value):
+        # a match set holds no coordinates: the shapes' own are checked
+        mesh = grid_mesh(9)
+        pts = mesh.vertices.copy()
+        pts[4, 0] = value
+        with pytest.raises(InvalidArgument):
+            shape_registration(mesh, pts, identity_matchset(mesh))
+
     def test_empty_matches(self):
         mesh = grid_mesh(9)
-        ms = MatchSet(mesh.vertices, mesh.vertices, np.empty((0, 2), dtype=np.int64))
+        ms = MatchSet(np.empty((0, 2), dtype=np.int64))
         with pytest.raises(EmptyMatches):
             shape_registration(mesh, mesh, ms)
 
@@ -88,12 +97,7 @@ class TestShapeRegistration:
         base_labels, base_results = shape_registration(source, target, matches)
         rng = np.random.default_rng(0)
         perm = rng.permutation(len(matches))
-        permuted = MatchSet(
-            matches.source_points,
-            matches.target_points,
-            matches.pairs[perm],
-            LabelVector(matches.gt_labels.z[perm]),
-        )
+        permuted = MatchSet(matches.pairs[perm], LabelVector(matches.gt_labels.z[perm]))
         labels_p, results_p = shape_registration(source, target, permuted)
         assert sum(r.objective for r in results_p) == sum(r.objective for r in base_results)
         assert np.array_equal(labels_p.z, base_labels.z[perm])
@@ -124,14 +128,14 @@ class TestShapeRegistration:
         tris = np.array([[0, 1, 2], [3, 4, 5]])
         mesh = TriMesh(verts, tris)
         pairs = np.column_stack([np.arange(6)] * 2)
-        ms = MatchSet(verts, verts, pairs)
+        ms = MatchSet(pairs)
         # single cluster spans both components: every cross pair is non-finite,
         # but within-component pairs exist, so no failure
         labels, _ = shape_registration(mesh, mesh, ms)
         assert labels.num_outliers == 0
         # clusters that isolate one component per cluster also work; a failure
         # needs a cluster whose matches are pairwise disconnected
-        lonely = MatchSet(verts, verts, np.array([[0, 0], [3, 3]]))
+        lonely = MatchSet(np.array([[0, 0], [3, 3]]))
         with pytest.raises(GeodesicFailure):
             shape_registration(mesh, mesh, lonely)
 

@@ -198,24 +198,22 @@ class TestEvaluateLabels:
 
 class TestFileFormats:
     def test_matches_round_trip(self, tmp_path):
-        src = np.random.default_rng(1).normal(size=(10, 3))
-        tgt = np.random.default_rng(2).normal(size=(12, 3))
         pairs = np.array([[0, 1], [3, 4], [9, 11]])
         gt = LabelVector(np.array([0, 1, 0], dtype=np.int8))
-        ms = MatchSet(src, tgt, pairs, gt)
+        ms = MatchSet(pairs, gt)
         path = tmp_path / "matches.txt"
         emit_matches(ms, path)
         assert path.read_text().splitlines()[0] == "3"
-        back = parse_matches(path, src, tgt)
+        back = parse_matches(path)
         assert np.array_equal(back.pairs, pairs)
         assert back.gt_labels == gt
 
     def test_matches_without_gt(self, tmp_path):
-        src = np.zeros((3, 3))
-        ms = MatchSet(src, src, np.array([[0, 0], [1, 1]]))
+        ms = MatchSet(np.array([[0, 0], [1, 1]]))
         path = tmp_path / "m.txt"
         emit_matches(ms, path)
-        back = parse_matches(path, src, src)
+        back = parse_matches(path)
+        assert np.array_equal(back.pairs, ms.pairs)
         assert back.gt_labels is None
 
     def test_matches_negative_index(self, tmp_path):

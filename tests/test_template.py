@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from consmax.core import ConsensusGraph, build_covering_program, kmeans_partition
-from consmax.errors import AllClustersSkipped, InvalidArgument, TooFewMatches
+from consmax.core import ConsensusGraph, MatchSet, build_covering_program, kmeans_partition
+from consmax.errors import AllClustersSkipped, EmptyMatches, InvalidArgument, TooFewMatches
 from consmax.solver import SolverConfig
 from consmax.synth import SynthSpec, synth_template_instance
 from consmax.template import (
@@ -257,11 +257,25 @@ class TestTemplatePipeline:
 
     def test_three_matches_all_clusters_skipped(self):
         template, image, K, matches = bent_instance(ratio=0.0, seed=1, n=49)
-        from consmax.core import MatchSet
-
-        small = MatchSet(template, image, np.column_stack([np.arange(3)] * 2))
+        small = MatchSet(np.column_stack([np.arange(3)] * 2))
         with pytest.raises(AllClustersSkipped):
             template_image_registration(template, image, small, K)
+
+    @pytest.mark.parametrize("bad", [[49, 0], [0, 49]], ids=["template", "image"])
+    def test_out_of_range_matches(self, bad):
+        # 49 template and image points: index 49 is one past the last
+        template, image, K, _ = bent_instance(ratio=0.0, seed=1, n=49)
+        matches = MatchSet(np.array([[0, 0], [1, 1], [2, 2], bad]))
+        with pytest.raises(EmptyMatches):
+            template_image_registration(template, image, matches, K)
+
+    @pytest.mark.parametrize("side", ["template", "image"])
+    def test_non_finite_points_rejected(self, side):
+        template, image, K, matches = bent_instance(ratio=0.0, seed=1, n=49)
+        points = {"template": template.copy(), "image": image.copy()}
+        points[side][5, 0] = np.nan
+        with pytest.raises(InvalidArgument):
+            template_image_registration(points["template"], points["image"], matches, K)
 
     def test_local_filter_mode_runs(self):
         template, image, K, matches = bent_instance(ratio=0.25, seed=2, n=100)
