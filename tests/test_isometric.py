@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from consmax import isometric
 from consmax.core import LabelVector, MatchSet
 from consmax.errors import EmptyMatches, GeodesicFailure, InvalidArgument
 from consmax.isometric import (
@@ -9,7 +12,7 @@ from consmax.isometric import (
     shape_registration,
     shape_registration_detailed,
 )
-from consmax.mesh import TriMesh
+from consmax.mesh import TriMesh, geodesic_distances
 from consmax.synth import SynthSpec, grid_mesh, synth_isometric_instance
 
 
@@ -147,3 +150,39 @@ class TestShapeRegistration:
         gt = matches.gt_labels
         missed = int(((labels.z == 0) & (gt.z == 1)).sum())
         assert missed == 0
+
+
+class TestLargeGridPinned:
+    """The 900-match grid's geodesic tables and per-cluster programs, pinned
+    with the heap Dijkstra kernel. Rounding decides which pairs sit on the
+    isometric threshold, so any change in a path sum's bits moves these."""
+
+    SPEC = SynthSpec("isometric-grid", n_points=900, outlier_ratio=0.5, seed=0)
+
+    def test_geodesic_tables(self):
+        source, target, matches = synth_isometric_instance(self.SPEC)
+        digests = [
+            hashlib.sha256(
+                geodesic_distances(shape, np.unique(matches.pairs[:, col])).distances.tobytes()
+            ).hexdigest()
+            for shape, col in ((source, 0), (target, 1))
+        ]
+        assert digests == [
+            "77ce3cf86e080b9564c8b1a22ec77702f0a45cbbf0ecf023dc1f977609fe50be",
+            "3626271818bed330ceb2d7d8fdac74ae36b27ce5f83d4808a17a354dc135c6ce",
+        ]
+
+    def test_constraint_counts(self, monkeypatch):
+        source, target, matches = synth_isometric_instance(self.SPEC)
+        counts = []
+        build = isometric.build_covering_program
+
+        def counting_build(graph):
+            program = build(graph)
+            counts.append(program.num_constraints)
+            return program
+
+        monkeypatch.setattr(isometric, "build_covering_program", counting_build)
+        labels, _ = shape_registration(source, target, matches)
+        assert counts == [8434, 8220, 15301, 7699, 14905]
+        assert labels == matches.gt_labels

@@ -13,6 +13,7 @@ import pytest
 from consmax import _kernels
 from consmax.core import CoveringProgram
 from consmax.mesh import TriMesh, knn_graph
+from consmax.synth import grid_mesh
 from consmax.solver import LP_TOLERANCE, _lp_max_iter, var_incidence
 from test_mesh import jittered_grid
 
@@ -138,32 +139,59 @@ def random_program(rng, sizes, p, n_cons):
     return CoveringProgram.from_constraints(p, sorted(cons))
 
 
+def check_dijkstra(graph, sources, n):
+    indptr, indices, weights = graph
+    got = _kernels.dijkstra_table(indptr, indices, weights, sources, n)
+    assert_same_bits(got, ref_dijkstra_table(indptr, indices, weights, sources, n))
+    return got
+
+
 class TestDijkstra:
     @pytest.mark.parametrize("n,seed", [(49, 0), (120, 1), (300, 2)])
     def test_jittered_grid(self, n, seed):
-        mesh = jittered_grid(n, seed)
-        indptr, indices, weights = mesh.edge_graph
         sources = np.random.default_rng(seed).choice(n, size=min(n, 40), replace=False)
-        assert_same_bits(
-            _kernels.dijkstra_table(indptr, indices, weights, sources, n),
-            ref_dijkstra_table(indptr, indices, weights, sources, n),
-        )
+        check_dijkstra(jittered_grid(n, seed).edge_graph, sources, n)
+
+    @pytest.mark.parametrize("n_sources", [64, 65, 150])
+    def test_sources_across_chunks(self, n_sources):
+        # one full chunk, one source past it, and a partial third chunk
+        sources = np.random.default_rng(n_sources).choice(300, size=n_sources, replace=False)
+        check_dijkstra(jittered_grid(300, 5).edge_graph, sources, 300)
+
+    def test_unit_grid_ties(self):
+        # on an unjittered grid many paths have equal lengths
+        check_dijkstra(grid_mesh(300).edge_graph, np.arange(0, 300, 4), 300)
+
+    def test_zero_weight_edge(self):
+        grid = jittered_grid(100, 6)
+        verts = grid.vertices.copy()
+        verts[45] = verts[44]  # coincident neighbours: a zero-weight edge
+        mesh = TriMesh(verts, grid.triangles)
+        indptr, indices, weights = mesh.edge_graph
+        assert (weights[indptr[44]:indptr[45]] == 0.0).any()
+        got = check_dijkstra(mesh.edge_graph, np.array([0, 44, 45, 99]), 100)
+        assert_same_bits(got[1], got[2])
+
+    def test_repeated_source(self):
+        got = check_dijkstra(jittered_grid(120, 7).edge_graph, np.array([3, 50, 3, 119]), 120)
+        assert_same_bits(got[0], got[2])
+
+    def test_no_sources(self):
+        got = check_dijkstra(jittered_grid(49, 8).edge_graph, np.array([], dtype=np.int64), 49)
+        assert got.shape == (0, 49)
 
     def test_knn_graph(self):
         pts = np.random.default_rng(3).uniform(0.0, 10.0, size=(150, 3))
-        indptr, indices, weights = knn_graph(pts)
-        sources = np.arange(0, 150, 3)
-        assert_same_bits(
-            _kernels.dijkstra_table(indptr, indices, weights, sources, 150),
-            ref_dijkstra_table(indptr, indices, weights, sources, 150),
-        )
+        check_dijkstra(knn_graph(pts), np.arange(0, 150, 3), 150)
+
+    def test_gaussian_knn_graph(self):
+        pts = np.random.default_rng(4).normal(size=(900, 3))
+        check_dijkstra(knn_graph(pts), np.arange(0, 900, 9), 900)
 
     def test_two_components(self):
-        (indptr, indices, weights), n = two_component_graph()
-        sources = np.array([0, 7, 29, 30, 49])
-        got = _kernels.dijkstra_table(indptr, indices, weights, sources, n)
+        graph, n = two_component_graph()
+        got = check_dijkstra(graph, np.array([0, 7, 29, 30, 49]), n)
         assert np.isinf(got).any()
-        assert_same_bits(got, ref_dijkstra_table(indptr, indices, weights, sources, n))
 
 
 class TestGreedyPick:
