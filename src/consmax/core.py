@@ -68,7 +68,7 @@ class LabelVector:
         return np.nonzero(self.z == OUTLIER)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchSet:
     """Indexed correspondences between two domains (3D-3D or 3D-2D).
 
@@ -97,7 +97,7 @@ class MatchSet:
         return int(self.pairs.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConsensusGraph:
     """Agreement graph: vertices are match-index subsets of fixed size ``s``,
     edges carry the binary agreement value theta."""
@@ -144,7 +144,7 @@ class ConsensusGraph:
         return int(self.edges.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringProgram:
     """The 0-1 program ``min sum(z)`` subject to ``sum(z[i] for i in C) >= 1``
     for every constraint ``C`` (one per violated edge).
@@ -203,7 +203,7 @@ class CoveringProgram:
         return len(self.cons_csr[0]) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterPartition:
     """Disjoint covering assignment of matches to clusters ``0..m-1``."""
 

@@ -333,3 +333,25 @@ class TestClusterPartition:
     def test_nonempty_required(self):
         with pytest.raises(InvalidArgument):
             ClusterPartition(np.array([0, 0, 0]), 2)
+
+
+class TestIdentityEquality:
+    """Array-holding records compare by identity and hash, like LabelVector
+    but without a value comparison: a field-by-field ``==`` over arrays of
+    more than one element raised, and hashing one raised."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MatchSet(np.array([[0, 1], [2, 3]])),
+            lambda: make_graph([[0], [1], [2]], [[0, 1], [1, 2]], [0, 1], 1),
+            lambda: CoveringProgram.from_constraints(3, [(0, 1), (1, 2)]),
+            lambda: ClusterPartition(np.array([0, 1, 0]), 2),
+        ],
+        ids=["MatchSet", "ConsensusGraph", "CoveringProgram", "ClusterPartition"],
+    )
+    def test_compare_and_hash(self, make):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+        assert hash(a) == hash(a)
