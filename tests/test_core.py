@@ -336,9 +336,8 @@ class TestClusterPartition:
 
 
 class TestIdentityEquality:
-    """Array-holding records compare by identity and hash, like LabelVector
-    but without a value comparison: a field-by-field ``==`` over arrays of
-    more than one element raised, and hashing one raised."""
+    """Records that hold arrays compare and hash by identity: a
+    field-by-field ``==`` over arrays has no single truth value."""
 
     @pytest.mark.parametrize(
         "make",

@@ -13,8 +13,8 @@ import pytest
 from consmax import _kernels
 from consmax.core import CoveringProgram
 from consmax.mesh import TriMesh, knn_graph
-from consmax.synth import grid_mesh
 from consmax.solver import LP_TOLERANCE, _lp_max_iter, var_incidence
+from consmax.synth import grid_mesh
 from test_mesh import jittered_grid
 
 
