@@ -5,8 +5,9 @@ floats as ``.17g``; a malformed input raises ``MalformedInput`` with its
 path and, where one is to blame, its line):
 
 * meshes:        OBJ (``v``/``f``, 1-based) or PLY (ascii, ``x y z`` vertex
-                 properties, triangular faces), chosen by content on read
-                 and by the ``.ply`` suffix on write
+                 properties, triangular faces; elements in any order, and
+                 any but ``vertex`` and ``face`` skipped), chosen by
+                 content on read and by the ``.ply`` suffix on write
 * matches:       line 1 ``count``, then ``src_idx tgt_idx [gt_flag]`` per
                  line, 0-based; ``gt_flag`` is 0 (inlier) or 1 (outlier).
                  The file holds all of a MatchSet, so reading back what
@@ -23,7 +24,6 @@ path and, where one is to blame, its line):
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -60,21 +60,50 @@ def _json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _counted_lines(path, kind: str, unit: str, items: str) -> list:
-    """The non-blank lines of a ``kind`` file after its count header, as
-    ``(line number, stripped text)``; the header must give their number."""
-    raw = read_ascii(path).splitlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
-    if not lines:
+def _records(text: str):
+    """``(line number, tokens)`` for every non-blank line of ``text``, one
+    line at a time."""
+    return ((i, tokens) for i, line in enumerate(text.splitlines(), start=1) if (tokens := line.split()))
+
+
+def _counted_records(path, kind: str, unit: str, items: str) -> list:
+    """The records of a ``kind`` file after its count header; the header
+    must give their number."""
+    records = list(_records(read_ascii(path)))
+    if not records:
         raise MalformedInput(f"empty {kind} file", str(path), 1)
-    lineno, head = lines[0]
+    lineno, head = records[0]
     try:
-        count = int(head)
+        [count] = map(int, head)
     except ValueError:
         raise MalformedInput(f"first line must be the {unit} count", str(path), lineno) from None
-    if len(lines) - 1 != count:
-        raise MalformedInput(f"expected {count} {items}, found {len(lines) - 1}", str(path), lineno)
-    return lines[1:]
+    if len(records) - 1 != count:
+        raise MalformedInput(f"expected {count} {items}, found {len(records) - 1}", str(path), lineno)
+    return records[1:]
+
+
+def _reject(bad, records, message: str, path: str) -> None:
+    """Raise ``message`` at the line of the first record that ``bad`` marks."""
+    if bad.any():
+        raise MalformedInput(message, path, records[int(np.argmax(bad))][0])
+
+
+def _numbers(records, dtype, what: str, path: str) -> np.ndarray:
+    """The tokens of ``records`` as one ``dtype`` array, a row per record,
+    each token read as Python's ``float`` or ``int`` reads it. A token that
+    is not such a number raises ``bad {what}``, and a value that is not
+    finite ``non-finite {what}``, at its record's line."""
+    try:
+        values = np.array([tokens for _, tokens in records], dtype=dtype)
+    except (ValueError, OverflowError):
+        for lineno, tokens in records:
+            try:
+                np.array(tokens, dtype=dtype)
+            except (ValueError, OverflowError):
+                raise MalformedInput(f"bad {what}", path, lineno) from None
+        raise
+    _reject(~np.isfinite(values).all(axis=-1), records, f"non-finite {what}", path)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -83,133 +112,95 @@ def _counted_lines(path, kind: str, unit: str, items: str) -> list:
 
 def load_mesh(path) -> TriMesh:
     text = read_ascii(path)
-    head = text.lstrip()[:3]
-    if head == "ply":
-        return _parse_ply(text, str(path))
-    return _parse_obj(text, str(path))
+    parse = _parse_ply if text.lstrip().startswith("ply") else _parse_obj
+    return parse(text, str(path))
+
+
+def _mesh(verts: np.ndarray, faces, first: int, path: str) -> TriMesh:
+    """The mesh of ``verts`` and of ``faces``, records of index tokens that
+    number the vertices from ``first``; a face that indexes outside them, or
+    repeats one, raises MalformedInput at its line."""
+    tri = _numbers(faces, np.int64, "face index", path).reshape(-1, 3) - first
+    below = "face indices must be positive (1-based)" if first else "face index out of range"
+    _reject((tri < 0).any(axis=1), faces, below, path)
+    _reject((tri >= len(verts)).any(axis=1), faces, "face index out of range", path)
+    tri_sorted = np.sort(tri, axis=1)
+    _reject((tri_sorted[:, 1:] == tri_sorted[:, :-1]).any(axis=1), faces, "face repeats a vertex", path)
+    return TriMesh(vertices=verts, triangles=tri)
 
 
 def _parse_obj(text: str, path: str) -> TriMesh:
-    verts, faces = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise MalformedInput("vertex needs 3 coordinates", path, lineno)
-            try:
-                verts.append([float(x) for x in parts[1:4]])
-            except ValueError:
-                raise MalformedInput("bad vertex coordinate", path, lineno) from None
-            if not all(map(math.isfinite, verts[-1])):
-                raise MalformedInput("non-finite vertex coordinate", path, lineno)
-        elif parts[0] == "f":
-            if len(parts) != 4:
-                raise MalformedInput("only triangular faces supported", path, lineno)
-            idx = []
-            for tok in parts[1:]:
-                tok = tok.split("/")[0]
-                try:
-                    i = int(tok)
-                except ValueError:
-                    raise MalformedInput("bad face index", path, lineno) from None
-                if i < 1:
-                    raise MalformedInput("face indices must be positive (1-based)", path, lineno)
-                idx.append(i - 1)
-            if len(set(idx)) != 3:
-                raise MalformedInput("face repeats a vertex", path, lineno)
-            faces.append(idx)
-        # other records (vn, vt, o, g, s, usemtl ...) are ignored
+    # one pass per kind of record, so that only one kind's tokens are held
+    # at a time; other records (comments, vn, vt, o, g, s, usemtl ...) are
+    # ignored
+    verts = [(lineno, tokens[1:4]) for lineno, tokens in _records(text) if tokens[0] == "v"]
     if not verts:
         raise MalformedInput("no vertices", path, 1)
-    if faces and max(max(f) for f in faces) >= len(verts):
-        raise MalformedInput("face index out of range", path, 1)
-    return TriMesh(
-        vertices=np.asarray(verts, dtype=np.float64),
-        triangles=np.asarray(faces, dtype=np.int64).reshape(-1, 3),
-    )
+    for lineno, tokens in verts:
+        if len(tokens) < 3:
+            raise MalformedInput("vertex needs 3 coordinates", path, lineno)
+    verts = _numbers(verts, np.float64, "vertex coordinate", path)
+    faces = [(lineno, tokens[1:]) for lineno, tokens in _records(text) if tokens[0] == "f"]
+    for lineno, tokens in faces:
+        if len(tokens) != 3:
+            raise MalformedInput("only triangular faces supported", path, lineno)
+    if "/" in text:  # v/vt/vn face tokens: keep the vertex index
+        faces = [(lineno, [t.partition("/")[0] for t in tokens]) for lineno, tokens in faces]
+    return _mesh(verts, faces, 1, path)
 
 
 def _parse_ply(text: str, path: str) -> TriMesh:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
+    records = list(_records(text))
+    if not records or records[0] != (1, ["ply"]):
         raise MalformedInput("missing ply magic", path, 1)
-    n_vert = n_face = None
-    vert_props: list[str] = []
-    in_vertex_element = False
-    body_start = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if line == "end_header":
-            body_start = lineno
+    elements = []  # (name, row count, scalar property names), as declared
+    for end, (lineno, tokens) in enumerate(records):
+        if tokens == ["end_header"]:
             break
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "format":
-            if parts[1:2] != ["ascii"]:
-                raise MalformedInput("only ascii PLY supported", path, lineno)
-        elif parts[0] == "element":
+        if tokens[0] == "format" and tokens[1:2] != ["ascii"]:
+            raise MalformedInput("only ascii PLY supported", path, lineno)
+        if tokens[0] == "element":
             try:
-                count = int(parts[2])
+                count = int(tokens[2])
             except (ValueError, IndexError):
                 raise MalformedInput("element needs a name and an integer count", path, lineno) from None
             if count < 0:
                 raise MalformedInput("negative element count", path, lineno)
-            in_vertex_element = parts[1] == "vertex"
-            if parts[1] == "vertex":
-                n_vert = count
-            elif parts[1] == "face":
-                n_face = count
-        elif parts[0] == "property" and in_vertex_element and parts[1:2] != ["list"]:
-            vert_props.append(parts[-1])
-    if body_start is None or n_vert is None:
+            elements.append((tokens[1], count, []))
+        elif tokens[0] == "property" and elements and tokens[1:2] != ["list"]:
+            elements[-1][2].append(tokens[-1])
+    else:
+        raise MalformedInput("incomplete PLY header", path, 1)
+    # the body holds each element's rows in turn, in the order declared
+    rows, props, start = {}, {}, end + 1
+    for name, count, names in elements:
+        rows[name], props[name] = records[start:start + count], names
+        start += count
+    if "vertex" not in rows:
         raise MalformedInput("incomplete PLY header", path, 1)
     try:
-        ix, iy, iz = (vert_props.index(k) for k in ("x", "y", "z"))
+        xyz = [props["vertex"].index(axis) for axis in "xyz"]
     except ValueError:
         raise MalformedInput("vertex element must carry x y z", path, 1) from None
-    body = [
-        (lineno, ln.strip())
-        for lineno, ln in enumerate(lines[body_start:], start=body_start + 1)
-        if ln.strip()
-    ]
-    if len(body) < n_vert + (n_face or 0):
-        raise MalformedInput("truncated PLY body", path, body_start)
-    verts = np.empty((n_vert, 3))
-    for k in range(n_vert):
-        lineno, ln = body[k]
-        parts = ln.split()
-        try:
-            xyz = [float(parts[ix]), float(parts[iy]), float(parts[iz])]
-        except (ValueError, IndexError):
-            raise MalformedInput("bad vertex line", path, lineno) from None
-        if not all(map(math.isfinite, xyz)):
-            raise MalformedInput("non-finite vertex coordinate", path, lineno)
-        verts[k] = xyz
+    if start > len(records):
+        raise MalformedInput("truncated PLY body", path, records[end][0])
+    verts, last = [], max(xyz)
+    for lineno, tokens in rows["vertex"]:
+        if len(tokens) <= last:
+            raise MalformedInput("vertex needs 3 coordinates", path, lineno)
+        verts.append((lineno, [tokens[i] for i in xyz]))
     faces = []
-    for k in range(n_face or 0):
-        lineno, ln = body[n_vert + k]
-        parts = ln.split()
+    for lineno, tokens in rows.get("face", []):
         try:
-            cnt = int(parts[0])
-            idx = [int(t) for t in parts[1:1 + cnt]]
-        except (ValueError, IndexError):
+            count = int(tokens[0])
+        except ValueError:
             raise MalformedInput("bad face line", path, lineno) from None
-        if len(idx) != cnt:
-            raise MalformedInput(f"face line lists {len(idx)} of its {cnt} indices", path, lineno)
-        if cnt != 3:
+        if len(tokens) <= count:
+            raise MalformedInput(f"face line lists {len(tokens) - 1} of its {count} indices", path, lineno)
+        if count != 3:
             raise MalformedInput("only triangular faces supported", path, lineno)
-        if min(idx) < 0 or max(idx) >= n_vert:
-            raise MalformedInput("face index out of range", path, lineno)
-        if len(set(idx)) != 3:
-            raise MalformedInput("face repeats a vertex", path, lineno)
-        faces.append(idx)
-    return TriMesh(
-        vertices=verts, triangles=np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    )
+        faces.append((lineno, tokens[1:4]))
+    return _mesh(_numbers(verts, np.float64, "vertex coordinate", path).reshape(-1, 3), faces, 0, path)
 
 
 def emit_mesh(mesh: TriMesh, path) -> None:
@@ -253,29 +244,19 @@ def emit_matches(matches: MatchSet, path) -> None:
 def parse_matches(path) -> MatchSet:
     """Read a matches file; the indices are checked against the shapes by
     the pipeline that receives them."""
-    lines = _counted_lines(path, "matches", "match", "match lines")
-    count = len(lines)
-    pairs = np.empty((count, 2), dtype=np.int64)
-    flags: list[int] = []
-    for k, (lineno, ln) in enumerate(lines):
-        parts = ln.split()
-        if len(parts) not in (2, 3):
+    records = _counted_records(path, "matches", "match", "match lines")
+    width = len(records[0][1]) if records else 2
+    for lineno, tokens in records:
+        if len(tokens) not in (2, 3):
             raise MalformedInput("expected 'src tgt [gt_flag]'", str(path), lineno)
-        try:
-            s, t = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedInput("indices must be integers", str(path), lineno) from None
-        if s < 0 or t < 0:
-            raise MalformedInput("negative index", str(path), lineno)
-        pairs[k] = (s, t)
-        if len(parts) == 3:
-            if parts[2] not in ("0", "1"):
-                raise MalformedInput("gt_flag must be 0 or 1", str(path), lineno)
-            flags.append(int(parts[2]))
-    if flags and len(flags) != count:
-        raise MalformedInput("gt_flag must be present on every line or none", str(path), 1)
-    gt = LabelVector(np.asarray(flags, dtype=np.int8)) if flags else None
-    return MatchSet(pairs=pairs, gt_labels=gt)
+        if len(tokens) != width:
+            raise MalformedInput("gt_flag must be present on every line or none", str(path), lineno)
+        if width == 3 and tokens[2] not in ("0", "1"):
+            raise MalformedInput("gt_flag must be 0 or 1", str(path), lineno)
+    table = _numbers(records, np.int64, "match index", str(path)).reshape(-1, width)
+    _reject((table < 0).any(axis=1), records, "negative index", str(path))
+    gt = LabelVector(table[:, 2].astype(np.int8)) if width == 3 else None
+    return MatchSet(pairs=table[:, :2], gt_labels=gt)
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +272,13 @@ def emit_points(points, path) -> None:
 
 
 def parse_points(path, dim: Optional[int] = None) -> np.ndarray:
-    rows = []
-    for lineno, ln in _counted_lines(path, "points", "point", "points"):
-        parts = ln.split()
-        if dim is not None and len(parts) != dim:
+    records = _counted_records(path, "points", "point", "points")
+    for lineno, tokens in records:
+        if dim is not None and len(tokens) != dim:
             raise MalformedInput(f"expected {dim} coordinates", str(path), lineno)
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError:
-            raise MalformedInput("bad coordinate", str(path), lineno) from None
-        if not all(map(math.isfinite, rows[-1])):
-            raise MalformedInput("non-finite coordinate", str(path), lineno)
-        if rows and len(rows[-1]) != len(rows[0]):
+        if len(tokens) != len(records[0][1]):
             raise MalformedInput("inconsistent coordinate count", str(path), lineno)
-    return np.asarray(rows, dtype=np.float64)
+    return _numbers(records, np.float64, "coordinate", str(path))
 
 
 # ---------------------------------------------------------------------------

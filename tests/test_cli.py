@@ -227,10 +227,11 @@ class TestMatchShapes:
         [
             ("nan.obj", "v 0 0 0\nv nan 0 0\nv 0 1 0\nf 1 2 3\n", 2, "non-finite vertex coordinate"),
             ("repeat.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 1 3\n", 4, "face repeats a vertex"),
+            ("range.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n", 4, "face index out of range"),
             ("inf.ply", PLY_HEADER + "0 0 0\ninf 0 0\n0 1 0\n3 0 1 2\n", 11, "non-finite vertex coordinate"),
             ("repeat.ply", PLY_HEADER + "0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n", 13, "face repeats a vertex"),
         ],
-        ids=["nan-obj", "repeat-obj", "inf-ply", "repeat-ply"],
+        ids=["nan-obj", "repeat-obj", "range-obj", "inf-ply", "repeat-ply"],
     )
     def test_bad_mesh_values_exit_2(self, iso_dir, tmp_path, capsys, name, body, line, message):
         bad = tmp_path / name

@@ -15,6 +15,22 @@ def chain_mesh():
     )
 
 
+# the header lines and body rows of chain_mesh's elements in an ASCII PLY,
+# and of an edge element with two per-row properties
+VERTEX_ELEMENT = (
+    ["element vertex 4", "property float x", "property float y", "property float z"],
+    ["0 0 0", "1 0 0", "2 0 0", "1 1 0"],
+)
+FACE_ELEMENT = (
+    ["element face 2", "property list uchar int vertex_indices"],
+    ["3 0 1 3", "3 1 2 3"],
+)
+EDGE_ELEMENT = (
+    ["element edge 3", "property int vertex1", "property int vertex2"],
+    ["0 1", "1 2", "2 3"],
+)
+
+
 def two_islands():
     return TriMesh(
         vertices=np.array(
@@ -153,16 +169,23 @@ class TestMeshIO:
             load_mesh(path)
 
     @pytest.mark.parametrize(
-        "header,face,line",
+        "header,face,line,message",
         [
-            ("format ascii 1.0\nelement vertex abc", "3 0 1 2", 3),
-            ("format\nelement vertex 3", "3 0 1 2", 2),
-            ("format ascii 1.0\nelement vertex -2", "3 0 1 2", 3),
-            ("format ascii 1.0\nelement vertex 3", "3 0 1", 13),
+            ("format ascii 1.0\nelement vertex abc", "3 0 1 2", 3, "element needs a name and an integer count"),
+            ("format\nelement vertex 3", "3 0 1 2", 2, "only ascii PLY supported"),
+            ("format ascii 1.0\nelement vertex -2", "3 0 1 2", 3, "negative element count"),
+            ("format ascii 1.0\nelement vertex 3", "3 0 1", 13, "face line lists 2 of its 3 indices"),
+            ("format ascii 1.0\nelement vertex 3", "x 0 1 2", 13, "bad face line"),
+            ("format ascii 1.0\nelement vertex 3", "3 0 1 x", 13, "bad face index"),
+            ("format ascii 1.0\nelement vertex 3", "3 0 1 3", 13, "face index out of range"),
+            ("format ascii 1.0\nelement vertex 3", "3 0 -1 2", 13, "face index out of range"),
         ],
-        ids=["non-integer-count", "bare-format", "negative-count", "short-face"],
+        ids=[
+            "non-integer-count", "bare-format", "negative-count", "short-face",
+            "bad-face-count", "bad-face-index", "face-past-last-vertex", "negative-face-index",
+        ],
     )
-    def test_ply_malformed_header_or_face(self, tmp_path, header, face, line):
+    def test_ply_malformed_header_or_face(self, tmp_path, header, face, line, message):
         path = tmp_path / "m.ply"
         path.write_text(
             f"ply\n{header}\nproperty double x\nproperty double y\nproperty double z\n"
@@ -171,7 +194,31 @@ class TestMeshIO:
         )
         with pytest.raises(MalformedInput) as exc:
             load_mesh(path)
-        assert (exc.value.path, exc.value.line) == (str(path), line)
+        assert str(exc.value) == f"{path}:{line}: {message}"
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            [VERTEX_ELEMENT, FACE_ELEMENT],
+            [FACE_ELEMENT, VERTEX_ELEMENT],
+            [VERTEX_ELEMENT, EDGE_ELEMENT, FACE_ELEMENT],
+            [EDGE_ELEMENT, FACE_ELEMENT, VERTEX_ELEMENT],
+        ],
+        ids=["vertex-face", "face-first", "edge-between", "edge-first"],
+    )
+    def test_ply_loads_as_its_obj_copy(self, tmp_path, elements):
+        # the body holds each element's rows in the order the header
+        # declares the elements; elements other than vertex and face are
+        # skipped
+        emit_mesh(chain_mesh(), tmp_path / "m.obj")
+        path = tmp_path / "m.ply"
+        header = [line for lines, _ in elements for line in lines]
+        body = [row for _, rows in elements for row in rows]
+        path.write_text("\n".join(["ply", "format ascii 1.0", *header, "end_header", *body]) + "\n")
+        mesh, obj = load_mesh(path), load_mesh(tmp_path / "m.obj")
+        assert np.array_equal(mesh.vertices, obj.vertices)
+        assert np.array_equal(mesh.triangles, obj.triangles)
+        assert (mesh.vertices.dtype, mesh.triangles.dtype) == (obj.vertices.dtype, obj.triangles.dtype)
 
     def test_ply_truncated(self, tmp_path):
         path = tmp_path / "m.ply"

@@ -223,6 +223,22 @@ class TestFileFormats:
             parse_matches(path)
         assert err.value.line == 2
 
+    def test_matches_mixed_gt_flag(self, tmp_path):
+        # the fault is the first line whose field count differs from the
+        # first match line's
+        path = tmp_path / "mixed.txt"
+        path.write_text("3\n0 0 1\n1 1\n2 2 0\n")
+        with pytest.raises(MalformedInput) as err:
+            parse_matches(path)
+        assert str(err.value) == f"{path}:3: gt_flag must be present on every line or none"
+
+    def test_matches_index_past_int64(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2\n0 1\n0 99999999999999999999999\n")
+        with pytest.raises(MalformedInput) as err:
+            parse_matches(path)
+        assert str(err.value) == f"{path}:3: bad match index"
+
     def test_matches_count_mismatch(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("3\n0 0\n1 1\n")
