@@ -121,16 +121,13 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 
 def _acos_clamped(c) -> np.ndarray:
-    """``math.acos(min(1.0, max(-1.0, x)))`` for every entry of ``c``.
+    """``arccos`` of ``c`` clipped to [-1, 1].
 
-    ``math.acos`` and ``np.arccos`` differ in the last bit for some inputs;
-    rotation distances are compared against thresholds and against each
-    other, so all of them use ``math.acos``.
+    Rotation distances are compared against thresholds and against each
+    other, so every one of them, ``rotation_geodesic_distance`` included,
+    comes from this one call.
     """
-    c = np.asarray(c, dtype=np.float64)
-    return np.array(
-        [math.acos(min(1.0, max(-1.0, x))) for x in c.ravel().tolist()], dtype=np.float64
-    ).reshape(c.shape)
+    return np.arccos(np.clip(c, -1.0, 1.0))
 
 
 def _dot(a, b) -> np.ndarray:
@@ -440,7 +437,7 @@ def _p3p_poses(P, F, sides, cos):
     off = _norm((R.transpose(0, 2, 1) @ R - np.eye(3)).reshape(-1, 9))
     valid = np.nonzero(~(off > _ROT_ATOL) & ~(np.abs(np.linalg.det(R) - 1.0) > _ROT_ATOL))[0]
     lane, R, t = lane[valid], R[valid], t[valid]
-    trace = np.array([round(x, 12) for x in np.trace(R, axis1=1, axis2=2).tolist()])
+    trace = np.round(np.trace(R, axis1=1, axis2=2), 12)
     tr = np.round(t, 12)
     order = np.lexsort((tr[:, 2], tr[:, 1], tr[:, 0], trace, lane))
     return lane[order], R[order], t[order]
