@@ -130,22 +130,23 @@ def _mesh(verts: np.ndarray, faces, first: int, path: str) -> TriMesh:
 
 
 def _parse_obj(text: str, path: str) -> TriMesh:
-    # one pass per kind of record, so that only one kind's tokens are held
-    # at a time; other records (comments, vn, vt, o, g, s, usemtl ...) are
-    # ignored
-    verts = [(lineno, tokens[1:4]) for lineno, tokens in _records(text) if tokens[0] == "v"]
+    # records other than v and f (comments, vn, vt, o, g, s, usemtl ...) are
+    # ignored; a face token is v, v/vt, v//vn or v/vt/vn: keep the vertex index
+    verts, faces = [], []
+    for lineno, tokens in _records(text):
+        if tokens[0] == "v":
+            verts.append((lineno, tokens[1:4]))
+        elif tokens[0] == "f":
+            faces.append((lineno, [t.partition("/")[0] for t in tokens[1:]]))
     if not verts:
         raise MalformedInput("no vertices", path, 1)
     for lineno, tokens in verts:
         if len(tokens) < 3:
             raise MalformedInput("vertex needs 3 coordinates", path, lineno)
     verts = _numbers(verts, np.float64, "vertex coordinate", path)
-    faces = [(lineno, tokens[1:]) for lineno, tokens in _records(text) if tokens[0] == "f"]
     for lineno, tokens in faces:
         if len(tokens) != 3:
             raise MalformedInput("only triangular faces supported", path, lineno)
-    if "/" in text:  # v/vt/vn face tokens: keep the vertex index
-        faces = [(lineno, [t.partition("/")[0] for t in tokens]) for lineno, tokens in faces]
     return _mesh(verts, faces, 1, path)
 
 

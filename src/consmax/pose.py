@@ -125,7 +125,9 @@ def _acos_clamped(c) -> np.ndarray:
 
     Rotation distances are compared against thresholds and against each
     other, so every one of them, ``rotation_geodesic_distance`` included,
-    comes from this one call.
+    comes from this one call. Its last bits follow numpy's CPU dispatch for
+    float64 ``arccos``: SVML on AVX-512 hosts (numpy's ``AVX512_SKX``
+    target, ``X86_V4`` from numpy 2.4), libm's ``acos`` elsewhere.
     """
     return np.arccos(np.clip(c, -1.0, 1.0))
 
