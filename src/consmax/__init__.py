@@ -16,7 +16,6 @@ from .core import (
     CoveringProgram,
     LabelVector,
     MatchSet,
-    aggregate_labels,
     build_covering_program,
     kmeans_partition,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "CoveringProgram",
     "LabelVector",
     "MatchSet",
-    "aggregate_labels",
     "build_covering_program",
     "kmeans_partition",
     "EvalReport",

@@ -15,11 +15,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .errors import AllClustersSkipped, CoverageGap, InvalidArgument
+from .errors import AllClustersSkipped, InvalidArgument
 
 if TYPE_CHECKING:
     from .solver import SolverResult
@@ -306,32 +306,6 @@ def kmeans_partition(points, m: int, seed: int) -> ClusterPartition:
     return ClusterPartition(assign, m)
 
 
-def aggregate_labels(
-    per_cluster: Sequence[tuple[np.ndarray, LabelVector]],
-    num_matches: int,
-) -> LabelVector:
-    """Union disjoint per-cluster labels into one global label vector.
-
-    ``per_cluster`` holds ``(match indices of the cluster, labels for those
-    matches in the same order)``. Raises on overlapping clusters or when some
-    match receives no label.
-    """
-    z = np.full(num_matches, -1, dtype=np.int8)
-    for indices, labels in per_cluster:
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size != len(labels):
-            raise InvalidArgument("cluster indices and labels differ in length")
-        if idx.size and (idx.min() < 0 or idx.max() >= num_matches):
-            raise InvalidArgument("cluster index out of range")
-        if (z[idx] != -1).any():
-            raise InvalidArgument("clusters overlap")
-        z[idx] = labels.z
-    if (z == -1).any():
-        missing = np.nonzero(z == -1)[0]
-        raise CoverageGap(f"matches without a label: {missing[:8].tolist()}...")
-    return LabelVector(z)
-
-
 @dataclass(frozen=True)
 class ClusterReport:
     """Outcome of one cluster: its match indices, whether it was skipped for
@@ -361,22 +335,21 @@ def register_clusters(
     label_cluster: Callable,
     min_size: int = 1,
 ) -> tuple[LabelVector, Registration]:
-    """Label every cluster of ``partition`` and aggregate the labels.
+    """Label every cluster of ``partition``, writing the labels itself.
 
     ``label_cluster(c, idx)`` builds cluster ``c``'s graph and covering
     program over the cluster-local match ids ``0..len(idx)-1`` and returns
-    ``(program, labels, result)``. Labels shorter than the cluster leave the
-    remaining matches inlier. A cluster with fewer than ``min_size`` matches
-    is skipped: its matches stay inlier and unconstrained. Raises when every
-    cluster is skipped.
+    ``(program, labels, result)``; ``labels[k]`` is written at match
+    ``idx[k]``, and matches past the labels stay inlier. A cluster with fewer
+    than ``min_size`` matches is skipped: its matches stay inlier and
+    unconstrained. Raises when every cluster is skipped.
     """
     p = len(partition.assignments)
-    per_cluster = []
-    reports = []
+    z = np.zeros(p, dtype=np.int8)
     constrained = np.zeros(p, dtype=bool)
+    reports = []
     for c in range(partition.m):
         idx = partition.members(c)
-        z = np.zeros(len(idx), dtype=np.int8)
         if len(idx) < min_size:
             logger.warning(
                 "cluster %d: only %d matches, skipped (labels stay inlier/unconstrained)", c, len(idx)
@@ -385,9 +358,8 @@ def register_clusters(
         else:
             program, labels, result = label_cluster(c, idx)
             constrained[idx[program.cons_csr[1]]] = True
-            z[: len(labels)] = labels.z
+            z[idx[: len(labels)]] = labels.z
             reports.append(ClusterReport(idx, False, result))
-        per_cluster.append((idx, LabelVector(z)))
     if all(r.skipped for r in reports):
         raise AllClustersSkipped("no cluster had enough matches to build a graph")
-    return aggregate_labels(per_cluster, p), Registration(reports, constrained)
+    return LabelVector(z), Registration(reports, constrained)

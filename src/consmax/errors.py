@@ -9,10 +9,6 @@ class InvalidArgument(ConsmaxError, ValueError):
     """A precondition on an argument was violated."""
 
 
-class CoverageGap(ConsmaxError):
-    """Label aggregation found a match with no label."""
-
-
 class TooLarge(ConsmaxError):
     """Instance exceeds the size limit of an exhaustive routine."""
 

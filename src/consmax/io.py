@@ -154,7 +154,7 @@ def _parse_ply(text: str, path: str) -> TriMesh:
     records = list(_records(text))
     if not records or records[0] != (1, ["ply"]):
         raise MalformedInput("missing ply magic", path, 1)
-    elements = []  # (name, row count, scalar property names), as declared
+    elements = []  # (name, row count, property names); rows are read by token position
     for end, (lineno, tokens) in enumerate(records):
         if tokens == ["end_header"]:
             break
@@ -168,8 +168,13 @@ def _parse_ply(text: str, path: str) -> TriMesh:
             if count < 0:
                 raise MalformedInput("negative element count", path, lineno)
             elements.append((tokens[1], count, []))
-        elif tokens[0] == "property" and elements and tokens[1:2] != ["list"]:
-            elements[-1][2].append(tokens[-1])
+        elif tokens[0] == "property" and elements:
+            name, _, props = elements[-1]
+            if name == "vertex" and tokens[1:2] == ["list"] and not {"x", "y", "z"} <= set(props):
+                raise MalformedInput("a vertex list property must follow x y z", path, lineno)
+            if name == "face" and not props and tokens[1:2] != ["list"]:
+                raise MalformedInput("the face element must start with its index list", path, lineno)
+            props.append(tokens[-1])
     else:
         raise MalformedInput("incomplete PLY header", path, 1)
     # the body holds each element's rows in turn, in the order declared

@@ -93,17 +93,8 @@ class Pose:
 
 def rotation_geodesic_distance(ra, rb) -> float:
     """Angle (radians, in [0, pi]) of the relative rotation ``ra.T @ rb``."""
-    ra = _valid_rotation(ra)
-    rb = _valid_rotation(rb)
+    ra, rb = (_check_rotation(getattr(r, "rotation", r)) for r in (ra, rb))
     return float(_acos_clamped((np.trace(ra.T @ rb) - 1.0) / 2.0))
-
-
-def _valid_rotation(x) -> np.ndarray:
-    """The checked rotation of a Pose (checked when the Pose was made) or of
-    a matrix or object with a ``rotation`` attribute (checked here)."""
-    if isinstance(x, Pose):
-        return x.rotation
-    return _check_rotation(getattr(x, "rotation", x))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -154,14 +145,6 @@ def triangle_extent(points) -> tuple[np.ndarray, np.ndarray]:
     return sides, _norm(np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]))
 
 
-def _diag_sign(d: np.ndarray) -> np.ndarray:
-    """Stacked ``np.diag([1.0, 1.0, d[i]])``."""
-    D = np.zeros((len(d), 3, 3))
-    D[:, 0, 0] = D[:, 1, 1] = 1.0
-    D[:, 2, 2] = d
-    return D
-
-
 def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rigid transforms with dst[i] = R[i] @ src[i] + t[i] (least squares,
     det(R)=+1), for (n, 3, 3) point stacks."""
@@ -169,7 +152,8 @@ def _kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     H = (src - cs[:, None]).transpose(0, 2, 1) @ (dst - cd[:, None])
     U, _, Vt = np.linalg.svd(H)
     V, Ut = Vt.transpose(0, 2, 1), U.transpose(0, 2, 1)
-    R = V @ _diag_sign(np.sign(np.linalg.det(V @ Ut))) @ Ut
+    V[:, :, 2] *= np.sign(np.linalg.det(V @ Ut))[:, None]
+    R = V @ Ut
     return R, cd - (R @ cs[:, :, None])[:, :, 0]
 
 

@@ -10,11 +10,11 @@ from consmax.core import (
     CoveringProgram,
     LabelVector,
     MatchSet,
-    aggregate_labels,
     build_covering_program,
     kmeans_partition,
+    register_clusters,
 )
-from consmax.errors import CoverageGap, InvalidArgument
+from consmax.errors import AllClustersSkipped, InvalidArgument
 
 
 def make_graph(vertices, edges, theta, s):
@@ -274,47 +274,59 @@ class TestKmeans:
         assert len(np.unique(part.assignments)) == 3
 
 
-class TestAggregateLabels:
-    def test_identity_passthrough(self):
-        labels = LabelVector(np.array([0, 1, 0], dtype=np.int8))
-        out = aggregate_labels([(np.arange(3), labels)], 3)
-        assert out == labels
+def stub_labeller(labels_of, constraints_of=lambda c, idx: []):
+    """A ``label_cluster`` that returns ``labels_of(c, idx)`` as labels, a
+    program of ``constraints_of(c, idx)`` and the cluster id as result, and
+    records the clusters it was called for."""
 
-    def test_two_clusters(self):
-        out = aggregate_labels(
-            [
-                (np.array([0, 1]), LabelVector(np.array([0, 1], dtype=np.int8))),
-                (np.array([2]), LabelVector(np.array([0], dtype=np.int8))),
-            ],
-            3,
-        )
-        assert out.z.tolist() == [0, 1, 0]
+    def label_cluster(c, idx):
+        label_cluster.calls.append(c)
+        program = CoveringProgram.from_constraints(len(idx), constraints_of(c, idx))
+        return program, LabelVector(np.asarray(labels_of(c, idx), dtype=np.int8)), c
 
-    def test_overlap_rejected(self):
-        with pytest.raises(InvalidArgument):
-            aggregate_labels(
-                [
-                    (np.array([0, 1]), LabelVector(np.array([0, 0], dtype=np.int8))),
-                    (np.array([1, 2]), LabelVector(np.array([0, 0], dtype=np.int8))),
-                ],
-                3,
-            )
+    label_cluster.calls = []
+    return label_cluster
 
-    def test_coverage_gap(self):
-        with pytest.raises(CoverageGap):
-            aggregate_labels(
-                [(np.array([0]), LabelVector(np.array([1], dtype=np.int8)))], 2
-            )
 
-    def test_split_then_aggregate_roundtrip(self):
+class TestRegisterClusters:
+    def test_labels_land_at_their_matches(self):
         rng = np.random.default_rng(8)
         z = LabelVector(rng.integers(0, 2, size=30).astype(np.int8))
         part = kmeans_partition(rng.normal(size=(30, 3)), 4, seed=1)
-        pieces = [
-            (part.members(c), LabelVector(z.z[part.members(c)]))
-            for c in range(4)
-        ]
-        assert aggregate_labels(pieces, 30) == z
+        labels, reg = register_clusters(part, stub_labeller(lambda c, idx: z.z[idx]))
+        assert labels == z
+        assert [r.result for r in reg.cluster_reports] == [0, 1, 2, 3]
+        for c, report in enumerate(reg.cluster_reports):
+            assert np.array_equal(report.indices, part.members(c)) and not report.skipped
+
+    def test_short_labels_leave_the_rest_inlier(self):
+        part = ClusterPartition(np.array([1, 0, 0, 1, 0]), 2)
+        labels, _ = register_clusters(part, stub_labeller(lambda c, idx: [1]))
+        assert labels.z.tolist() == [1, 1, 0, 0, 0]
+
+    def test_small_cluster_skipped(self, caplog):
+        part = ClusterPartition(np.array([0, 1, 0, 0]), 2)
+        label_cluster = stub_labeller(lambda c, idx: np.ones(len(idx)), lambda c, idx: [range(len(idx))])
+        with caplog.at_level("WARNING", logger="consmax.core"):
+            labels, reg = register_clusters(part, label_cluster, min_size=2)
+        assert label_cluster.calls == [0]
+        assert labels.z.tolist() == [1, 0, 1, 1]
+        assert reg.constrained.tolist() == [True, False, True, True]
+        skipped = reg.cluster_reports[1]
+        assert skipped.skipped and skipped.result is None and skipped.indices.tolist() == [1]
+        assert "cluster 1: only 1 matches, skipped" in caplog.text
+
+    def test_constrained_marks_the_matches_of_each_program(self):
+        part = ClusterPartition(np.array([0, 1, 0, 1, 0, 1, 0]), 2)  # members [0 2 4 6], [1 3 5]
+        local = {0: [(0, 2)], 1: [(1,)]}
+        _, reg = register_clusters(part, stub_labeller(lambda c, idx: [], lambda c, idx: local[c]))
+        assert np.nonzero(reg.constrained)[0].tolist() == [0, 3, 4]
+
+    def test_every_cluster_skipped(self):
+        label_cluster = stub_labeller(lambda c, idx: [])
+        with pytest.raises(AllClustersSkipped):
+            register_clusters(ClusterPartition(np.array([0, 1, 1]), 2), label_cluster, min_size=3)
+        assert label_cluster.calls == []
 
 
 class TestMatchSet:

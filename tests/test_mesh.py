@@ -29,6 +29,16 @@ EDGE_ELEMENT = (
     ["element edge 3", "property int vertex1", "property int vertex2"],
     ["0 1", "1 2", "2 3"],
 )
+# the same vertex and face elements with a property that the reader skips:
+# a list after x y z, a scalar after the index list
+TAGGED_VERTEX_ELEMENT = (
+    [*VERTEX_ELEMENT[0], "property list uchar int tags"],
+    [f"{row} 1 7" for row in VERTEX_ELEMENT[1]],
+)
+FLAGGED_FACE_ELEMENT = (
+    [*FACE_ELEMENT[0], "property uchar flags"],
+    [f"{row} 5" for row in FACE_ELEMENT[1]],
+)
 
 
 def two_islands():
@@ -203,8 +213,9 @@ class TestMeshIO:
             [FACE_ELEMENT, VERTEX_ELEMENT],
             [VERTEX_ELEMENT, EDGE_ELEMENT, FACE_ELEMENT],
             [EDGE_ELEMENT, FACE_ELEMENT, VERTEX_ELEMENT],
+            [TAGGED_VERTEX_ELEMENT, FLAGGED_FACE_ELEMENT],
         ],
-        ids=["vertex-face", "face-first", "edge-between", "edge-first"],
+        ids=["vertex-face", "face-first", "edge-between", "edge-first", "skipped-properties"],
     )
     def test_ply_loads_as_its_obj_copy(self, tmp_path, elements):
         # the body holds each element's rows in the order the header
@@ -219,6 +230,27 @@ class TestMeshIO:
         assert np.array_equal(mesh.vertices, obj.vertices)
         assert np.array_equal(mesh.triangles, obj.triangles)
         assert (mesh.vertices.dtype, mesh.triangles.dtype) == (obj.vertices.dtype, obj.triangles.dtype)
+
+    @pytest.mark.parametrize(
+        "vertex,face,body,line,message",
+        [
+            (["list uchar int tags", "double x", "double y", "double z"], ["list uchar int vertex_indices"],
+             ["1 7 0 0 0", "1 7 1 0 0", "1 7 0 1 0", "3 0 1 2"], 4, "a vertex list property must follow x y z"),
+            (["double x", "double y", "double z"], ["uchar flags", "list uchar int vertex_indices"],
+             ["0 0 0", "1 0 0", "0 1 0", "5 3 0 1 2"], 8, "the face element must start with its index list"),
+        ],
+        ids=["vertex-list-before-xyz", "face-scalar-before-indices"],
+    )
+    def test_ply_property_before_the_ones_read(self, tmp_path, vertex, face, body, line, message):
+        # rows are read by token position, which a property before the read
+        # ones would shift: such a header is refused at that property
+        path = tmp_path / "m.ply"
+        header = ["element vertex 3", *(f"property {p}" for p in vertex)]
+        header += ["element face 1", *(f"property {p}" for p in face)]
+        path.write_text("\n".join(["ply", "format ascii 1.0", *header, "end_header", *body]) + "\n")
+        with pytest.raises(MalformedInput) as exc:
+            load_mesh(path)
+        assert str(exc.value) == f"{path}:{line}: {message}"
 
     def test_ply_truncated(self, tmp_path):
         path = tmp_path / "m.ply"
