@@ -20,8 +20,8 @@ constraints, and the simplex's pivot choices:
   label, so for ``v``'s parent ``p`` in Dijkstra's tree,
   ``dist[v] <= fl(dist[p] + w) <= fl(D[p] + w) = D[v]``, by induction
   along the tree. So ``dist == D`` bit for bit, in any relaxation order.
-* ``greedy_pick`` updates the counts once per pick instead of once per
-  newly covered constraint; the counts, and so the picks, are the same.
+* ``greedy_pick`` updates the counts once per pick, not per newly covered
+  constraint: the same counts and picks. Its cover has no redundant picks.
 * ``packing_simplex`` prices columns from a padded gather instead of
   ``np.add.reduceat``. On a segment ``a0, a1, ..., a(m-1)`` of at most 8
   elements, ``reduceat`` returns ``a0 + (((a1 + a2) + a3) + ...)`` (the
@@ -154,9 +154,7 @@ def _pricing(n_rows, n_cols, col_indptr, col_indices):
 
 
 def packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
-    """Vectorized revised simplex. Returns (status, objective, z, iterations)."""
-    if n_cols == 0:
-        return LP_OPTIMAL, 0.0, np.zeros(n_rows), 0
+    """Vectorized revised simplex, n_cols >= 1. Returns (status, objective, z, iterations)."""
     basis = np.arange(n_cols, n_cols + n_rows, dtype=np.int64)  # all slacks
     cb = np.zeros(n_rows)
     binv = np.eye(n_rows)
@@ -222,12 +220,15 @@ def _primal_from_pi(pi):
 # Greedy cover (incumbent generator)
 # ---------------------------------------------------------------------------
 
-def greedy_pick(num_vars, cons_indptr, cons_indices, var_indptr, var_cons):
+def greedy_pick(num_vars, cons_indptr, cons_indices):
+    """0/1 picks of the greedy cover (each pick the variable in the most unsatisfied
+    constraints, the lowest among ties), without its redundant picks."""
     n_cons = len(cons_indptr) - 1
-    picked = np.zeros(num_vars, dtype=np.int8)
-    if n_cons == 0:
-        return picked
+    # the variable -> constraint incidence; constraint ids ascend per variable
     counts = np.bincount(cons_indices, minlength=num_vars)
+    var_indptr = np.concatenate(([0], np.cumsum(counts)))
+    var_cons = np.repeat(np.arange(n_cons), np.diff(cons_indptr))[np.argsort(cons_indices, kind="stable")]
+    picked = np.zeros(num_vars, dtype=np.int8)
     unsat = np.ones(n_cons, dtype=bool)
     remaining = n_cons
     while remaining > 0:
@@ -243,4 +244,11 @@ def greedy_pick(num_vars, cons_indptr, cons_indices, var_indptr, var_cons):
         shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
         members = cons_indices[shift + np.arange(len(shift))]
         np.subtract.at(counts, members, 1)
+    # drop, in ascending order, every pick whose constraints are all covered twice
+    cover = np.add.reduceat(picked[cons_indices].astype(np.int64), cons_indptr[:-1])
+    for v in np.flatnonzero(picked):
+        cons = var_cons[var_indptr[v]:var_indptr[v + 1]]
+        if (cover[cons] >= 2).all():
+            picked[v] = 0
+            cover[cons] -= 1
     return picked

@@ -414,15 +414,11 @@ def _p3p_poses(P, F, sides, cos):
     X = Pc @ R.transpose(0, 2, 1) + t[:, None, :]
     along = (X * Fc).sum(axis=2)
     lens = np.sqrt((X * X).sum(axis=2))
-    reproj = np.arccos(np.clip(along / lens, -1.0, 1.0))
+    reproj = _acos_clamped(along / lens)
     keep = np.nonzero(~(along <= 0.0).any(axis=1) & ~(reproj.max(axis=1) > _REPROJECTION_ATOL))[0]
     lane, R, t = lane[keep], R[keep], t[keep]
     keep = _first_of_duplicates(lane, R, t)
     lane, R, t = lane[keep], R[keep], t[keep]
-    # rotation checks of the Pose type
-    off = _norm((R.transpose(0, 2, 1) @ R - np.eye(3)).reshape(-1, 9))
-    valid = np.nonzero(~(off > _ROT_ATOL) & ~(np.abs(np.linalg.det(R) - 1.0) > _ROT_ATOL))[0]
-    lane, R, t = lane[valid], R[valid], t[valid]
     trace = np.round(np.trace(R, axis1=1, axis2=2), 12)
     tr = np.round(t, 12)
     order = np.lexsort((tr[:, 2], tr[:, 1], tr[:, 0], trace, lane))

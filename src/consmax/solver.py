@@ -113,27 +113,6 @@ def _lp(n_rows: int, indptr, indices):
     return float(obj), z
 
 
-def var_incidence(num_vars, cons_indptr, cons_indices):
-    """Transpose a constraint -> variable CSR into (indptr, cons_ids), the
-    variable -> constraint incidence; constraint ids ascend per variable."""
-    counts = np.bincount(cons_indices, minlength=num_vars)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    order = np.argsort(cons_indices, kind="stable")
-    cons_of_elem = np.repeat(np.arange(len(cons_indptr) - 1, dtype=np.int64), np.diff(cons_indptr))
-    return indptr, cons_of_elem[order]
-
-
-def _drop_redundant_picks(picks, cons_indptr, cons_indices, var_indptr, var_cons):
-    """Remove picks whose constraints are all covered twice over (greedy
-    covers often carry a few); scan order is ascending variable index."""
-    cover = np.add.reduceat((picks[cons_indices] == 1).astype(np.int64), cons_indptr[:-1])
-    for v in np.nonzero(picks == 1)[0]:
-        cons = var_cons[var_indptr[v]:var_indptr[v + 1]]
-        if (cover[cons] >= 2).all():
-            picks[v] = 0
-            cover[cons] -= 1
-
-
 def lp_lower_bound(program: CoveringProgram) -> float:
     """Optimum of the LP relaxation; never exceeds the integer optimum."""
     return _lp(program.num_vars, *program.cons_csr)[0]
@@ -403,15 +382,11 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
     p = program.num_vars
 
     def greedy_labels(ones_t, free_ids, indptr, indices):
-        # the fixed outliers plus a greedy cover of the residual program,
-        # without its redundant picks
+        # the fixed outliers plus a greedy cover of the residual program
         z = np.zeros(p, dtype=np.int8)
         z[list(ones_t)] = OUTLIER
         if len(indptr) > 1:
-            incidence = var_incidence(len(free_ids), indptr, indices)
-            picks = _kernels.greedy_pick(len(free_ids), indptr, indices, *incidence)
-            _drop_redundant_picks(picks, indptr, indices, *incidence)
-            z[free_ids[picks == 1]] = OUTLIER
+            z[free_ids[_kernels.greedy_pick(len(free_ids), indptr, indices) == 1]] = OUTLIER
         return z
 
     def lp_bound(free_ids, indptr, indices):

@@ -1,10 +1,10 @@
 """Template-to-image outlier removal via piecewise-rigid pose agreement.
 
-Vertices are non-collinear match triangles among mutual q-nearest
-neighbours on the template; edges join triangle pairs sharing exactly two
-matches, so each constraint involves four unique matches. Edge agreement
-solves P3P on both triangles and compares the recovered camera poses. A
-voting baseline (local filtering) is included for comparison.
+Vertices are non-collinear match triangles in the symmetric q-nearest
+neighbour graph of the template points; edges join triangle pairs sharing
+exactly two matches, so each constraint involves four unique matches. Edge
+agreement solves P3P on both triangles and compares the recovered camera
+poses. A voting baseline (local filtering) is included for comparison.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .core import (
     register_clusters,
 )
 from .errors import EmptyMatches, InvalidArgument, TooFewMatches
+from .mesh import knn_graph
 from .pose import CameraIntrinsics, p3p_batch, pose_agreement_batch, triangle_extent
 from .solver import SolverConfig, solve_exact, solve_relaxed
 
@@ -73,6 +74,14 @@ def _collinear(pts: np.ndarray) -> np.ndarray:
         return (diam <= 0.0) | (area2 / diam <= _COLLINEAR_REL * diam)
 
 
+def _points(template_points, image_points):
+    """The float64 (n, 3) template and (m, 2) image points, or InvalidArgument."""
+    tpts, ipts = (np.asarray(a, dtype=np.float64) for a in (template_points, image_points))
+    if tpts.shape[1:] != (3,) or ipts.shape[1:] != (2,):
+        raise InvalidArgument("template points must be (n, 3) and image points (m, 2)")
+    return tpts, ipts
+
+
 def build_triangle_graph(
     template_points,
     image_points,
@@ -86,28 +95,22 @@ def build_triangle_graph(
     subsampling, then scored with P3P pose agreement. Degenerate triangles
     and empty P3P solution sets contribute no edge.
     """
-    tpts = np.asarray(template_points, dtype=np.float64).reshape(-1, 3)
-    ipts = np.asarray(image_points, dtype=np.float64).reshape(-1, 2)
+    tpts, ipts = _points(template_points, image_points)
     k = len(tpts)
     if len(ipts) != k:
         raise InvalidArgument("template and image point counts differ")
     if k < MIN_CLUSTER_MATCHES:
         raise TooFewMatches(f"need at least {MIN_CLUSTER_MATCHES} matches, got {k}")
 
-    q = min(config.q, k - 1)
-    d2 = ((tpts[:, None, :] - tpts[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    adj = np.zeros((k, k), dtype=bool)
-    adj[np.arange(k)[:, None], np.argsort(d2, axis=1, kind="stable")[:, :q]] = True
-    adj |= adj.T  # symmetric q-NN graph
+    indptr, nbrs, _ = knn_graph(tpts, config.q)
+    rows = np.repeat(np.arange(k), np.diff(indptr))
+    up = np.zeros((k, k), dtype=bool)
+    up[rows, nbrs] = rows < nbrs  # the symmetric q-NN graph's upper triangle
 
-    # triangles i < j < l of mutual neighbours, generated in sorted order
-    triples = [np.empty((0, 3), dtype=np.int64)]
-    for i in range(k):
-        nbrs = np.nonzero(adj[i, i + 1:])[0] + (i + 1)
-        a, b = np.nonzero(np.triu(adj[np.ix_(nbrs, nbrs)], 1))
-        triples.append(np.column_stack([np.full(len(a), i), nbrs[a], nbrs[b]]))
-    tri = np.concatenate(triples)
+    # triangles i < j < l, sorted: each edge (i, j) with each later common neighbour l
+    i, j = np.nonzero(up)
+    e, l = np.nonzero(up[i] & up[j])
+    tri = np.column_stack([i[e], j[e], l])
     tri = tri[~_collinear(tpts[tri])]
 
     # pairs of triangles sharing an edge (two matches), in sorted order; two
@@ -197,8 +200,7 @@ def template_image_registration(
     unconstrained; clusters with fewer than 4 matches are skipped with a
     warning. Raises when every cluster is skipped.
     """
-    tpts = np.asarray(template_points, dtype=np.float64).reshape(-1, 3)
-    ipts = np.asarray(image_points, dtype=np.float64).reshape(-1, 2)
+    tpts, ipts = _points(template_points, image_points)
     if not (np.isfinite(tpts).all() and np.isfinite(ipts).all()):
         raise InvalidArgument("template and image points must be finite")
     p = len(matches)

@@ -478,6 +478,30 @@ class TestGoldenReports:
         assert json.loads(report.read_text())["solver"]["skipped_clusters"] == 3
         assert sha256(report) == "6672a8603189bc3ddd79bcfa4087296b8dd86986a394594ace242fa504eac5da"
 
+    def test_iso_large_cli(self, tmp_path):
+        # the instance and command of the iso-large-cli benchmark workload
+        code = run_cli(
+            [
+                "synth", "--kind", "isometric-grid", "--n", "900",
+                "--outlier-ratio", "0.5", "--seed", "0", "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        report = tmp_path / "r.json"
+        code = run_cli(
+            [
+                "match-shapes",
+                "--source", str(tmp_path / "source.obj"),
+                "--target", str(tmp_path / "target.obj"),
+                "--matches", str(tmp_path / "matches.txt"),
+                "--mode", "exact",
+                "--report-out", str(report),
+            ]
+        )
+        assert code == 0
+        assert report.stat().st_size == 79396
+        assert sha256(report) == "14aa24daf76a89322256311391de501833d74a56e792461f6f5159d4fcffd7b3"
+
     def test_bench(self, tmp_path):
         code = run_cli(
             [

@@ -13,7 +13,7 @@ import pytest
 from consmax import _kernels
 from consmax.core import CoveringProgram
 from consmax.mesh import TriMesh, knn_graph
-from consmax.solver import LP_TOLERANCE, _lp_max_iter, var_incidence
+from consmax.solver import LP_TOLERANCE, _lp_max_iter
 from consmax.synth import grid_mesh
 from test_mesh import jittered_grid
 
@@ -39,29 +39,35 @@ def ref_dijkstra_table(indptr, indices, weights, sources, n):
     return out
 
 
-def ref_greedy_pick(num_vars, cons_indptr, cons_indices, var_indptr, var_cons):
-    n_cons = len(cons_indptr) - 1
+def ref_greedy_pick(num_vars, cons_indptr, cons_indices):
+    cons = [cons_indices[cons_indptr[l]:cons_indptr[l + 1]] for l in range(len(cons_indptr) - 1)]
+    var_cons = [[] for _ in range(num_vars)]
+    for l, members in enumerate(cons):
+        for v in members:
+            var_cons[v].append(l)
     picked = np.zeros(num_vars, dtype=np.int8)
-    if n_cons == 0:
-        return picked
-    counts = np.bincount(cons_indices, minlength=num_vars)
-    unsat = np.ones(n_cons, dtype=bool)
-    remaining = n_cons
+    counts = np.array([len(ls) for ls in var_cons], dtype=np.int64)
+    unsat = [True] * len(cons)
+    remaining = len(cons)
     while remaining > 0:
         v = int(np.argmax(counts))
         picked[v] = 1
-        for l in var_cons[var_indptr[v]:var_indptr[v + 1]]:
+        for l in var_cons[v]:
             if unsat[l]:
                 unsat[l] = False
                 remaining -= 1
-                counts[cons_indices[cons_indptr[l]:cons_indptr[l + 1]]] -= 1
+                counts[cons[l]] -= 1
+    cover = [int(picked[members].sum()) for members in cons]
+    for v in range(num_vars):
+        if picked[v] and all(cover[l] >= 2 for l in var_cons[v]):
+            picked[v] = 0
+            for l in var_cons[v]:
+                cover[l] -= 1
     return picked
 
 
 def ref_packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
     """The revised simplex, pricing every pivot with ``np.add.reduceat``."""
-    if n_cols == 0:
-        return _kernels.LP_OPTIMAL, 0.0, np.zeros(n_rows), 0
     basis = np.arange(n_cols, n_cols + n_rows, dtype=np.int64)
     cb = np.zeros(n_rows)
     binv = np.eye(n_rows)
@@ -200,10 +206,18 @@ class TestGreedyPick:
         rng = np.random.default_rng(seed)
         p = int(rng.integers(6, 60))
         program = random_program(rng, range(1, 7), p, int(rng.integers(1, 4 * p)))
-        cons_indptr, cons_indices = program.cons_csr
-        var_indptr, var_cons = var_incidence(p, cons_indptr, cons_indices)
-        args = (p, cons_indptr, cons_indices, var_indptr, var_cons)
+        args = (p, *program.cons_csr)
         assert_same_bits(_kernels.greedy_pick(*args), ref_greedy_pick(*args))
+
+    def test_redundant_pick_dropped(self):
+        # greedy picks 0 first, then 1 and 2, which cover both of 0's
+        # constraints
+        program = CoveringProgram.from_constraints(3, [(0, 1), (0, 2), (1,), (2,)])
+        assert _kernels.greedy_pick(3, *program.cons_csr).tolist() == [0, 1, 1]
+
+    def test_empty_program(self):
+        program = CoveringProgram.from_constraints(4, [])
+        assert_same_bits(_kernels.greedy_pick(4, *program.cons_csr), np.zeros(4, dtype=np.int8))
 
 
 class TestPricing:
@@ -243,16 +257,35 @@ class TestPackingSimplex:
         assert len(long) == 10
         self.check(CoveringProgram.from_constraints(30, program.constraints + (long,)))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bland_rule(self, seed, monkeypatch):
+        # Bland's rule from the first degenerate pivot on, in the kernel and
+        # the reference alike: the same optimum by another pivot path
+        rng = np.random.default_rng(seed)
+        program = random_program(rng, range(1, 5), 30, 90)
+        _, dantzig, _ = self.check(program)
+        monkeypatch.setattr(_kernels, "_BLAND_AFTER", 0)
+        status, bland, _ = self.check(program)
+        assert status == _kernels.LP_OPTIMAL
+        assert abs(bland - dantzig) <= 1e-13
+
+    def test_iteration_limit(self):
+        program = random_program(np.random.default_rng(0), range(1, 5), 30, 90)
+        status, _, its = self.check(program, max_iter=3)
+        assert (status, its) == (_kernels.LP_ITERATION_LIMIT, 3)
+
     @staticmethod
-    def check(program):
+    def check(program, max_iter=None):
+        """Run the kernel and the reference; return the kernel's (status,
+        objective, iterations) once every output matches bit for bit."""
         indptr, indices = program.cons_csr
-        args = (
-            program.num_vars, program.num_constraints, indptr, indices,
-            LP_TOLERANCE, _lp_max_iter(program.num_vars, program.num_constraints),
-        )
+        if max_iter is None:
+            max_iter = _lp_max_iter(program.num_vars, program.num_constraints)
+        args = (program.num_vars, program.num_constraints, indptr, indices, LP_TOLERANCE, max_iter)
         status, obj, z, its = _kernels.packing_simplex(*args)
         r_status, r_obj, r_z, r_its = ref_packing_simplex(*args)
         assert r_its > 0
         assert (status, its) == (r_status, r_its)
         assert obj.hex() == r_obj.hex()
         assert_same_bits(z, r_z)
+        return status, obj, its

@@ -189,10 +189,15 @@ class TestMeshIO:
             ("format ascii 1.0\nelement vertex 3", "3 0 1 x", 13, "bad face index"),
             ("format ascii 1.0\nelement vertex 3", "3 0 1 3", 13, "face index out of range"),
             ("format ascii 1.0\nelement vertex 3", "3 0 -1 2", 13, "face index out of range"),
+            ("format ascii 1.0\nelement vertex 3", "4 0 1 2 0", 13, "only triangular faces supported"),
+            ("format ascii 1.0\nelement vertex 3\nproperty double w", "3 0 1 2", 11, "vertex needs 3 coordinates"),
+            ("format ascii 1.0\nelement vertex 0\nelement normal 3", "3 0 1 2", 1, "vertex element must carry x y z"),
+            ("format ascii 1.0\nelement point 3", "3 0 1 2", 1, "incomplete PLY header"),
         ],
         ids=[
             "non-integer-count", "bare-format", "negative-count", "short-face",
             "bad-face-count", "bad-face-index", "face-past-last-vertex", "negative-face-index",
+            "quad-face", "short-vertex-row", "vertex-without-xyz", "no-vertex-element",
         ],
     )
     def test_ply_malformed_header_or_face(self, tmp_path, header, face, line, message):
@@ -202,6 +207,23 @@ class TestMeshIO:
             f"element face 1\nproperty list uchar int vertex_indices\nend_header\n"
             f"0 0 0\n1 0 0\n0 1 0\n{face}\n"
         )
+        with pytest.raises(MalformedInput) as exc:
+            load_mesh(path)
+        assert str(exc.value) == f"{path}:{line}: {message}"
+
+    @pytest.mark.parametrize(
+        "name,text,line,message",
+        [
+            ("m.obj", "# faces only\nf 1 2 3\n", 1, "no vertices"),
+            ("m.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 4 3\n", 5, "only triangular faces supported"),
+            ("m.ply", "ply ascii\nformat ascii 1.0\nend_header\n", 1, "missing ply magic"),
+            ("m.ply", "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n", 1, "incomplete PLY header"),
+        ],
+        ids=["obj-no-vertices", "obj-quad-face", "ply-bad-magic", "ply-no-end-header"],
+    )
+    def test_malformed_mesh_file(self, tmp_path, name, text, line, message):
+        path = tmp_path / name
+        path.write_text(text)
         with pytest.raises(MalformedInput) as exc:
             load_mesh(path)
         assert str(exc.value) == f"{path}:{line}: {message}"

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -244,6 +245,28 @@ class TestFileFormats:
         path.write_text("3\n0 0\n1 1\n")
         with pytest.raises(MalformedInput):
             parse_matches(path)
+
+    @pytest.mark.parametrize(
+        "read,text,line,message",
+        [
+            (parse_matches, "\n\n", 1, "empty matches file"),
+            (parse_matches, "2\n0 0\n1\n", 3, "expected 'src tgt [gt_flag]'"),
+            (parse_matches, "2\n0 0 1\n1 1 2\n", 3, "gt_flag must be 0 or 1"),
+            (parse_points, "", 1, "empty points file"),
+            (partial(parse_points, dim=2), "2\n0.5 1.5\n2.5 3.5 4.5\n", 3, "expected 2 coordinates"),
+            (parse_points, "2\n0.5 1.5 2.5\n3.5 4.5\n", 3, "inconsistent coordinate count"),
+        ],
+        ids=[
+            "empty-matches", "one-index", "gt-flag-2", "empty-points", "three-of-two-coordinates",
+            "inconsistent-coordinates",
+        ],
+    )
+    def test_malformed_matches_or_points(self, tmp_path, read, text, line, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        with pytest.raises(MalformedInput) as err:
+            read(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
 
     def test_points_round_trip(self, tmp_path):
         pts = np.random.default_rng(3).normal(size=(7, 2))

@@ -30,6 +30,13 @@ def tpl_bend_c4_graphs():
     ]
 
 
+def misshapen(side, template, image):
+    """The (template, image) points with one side given the other's shape."""
+    if side == "template":
+        return template[:, :2], image
+    return template, np.column_stack([image, np.ones(len(image))])
+
+
 def bent_instance(ratio=0.3, seed=2, n=100, noise=0.0):
     spec = SynthSpec(
         kind="template-bend", n_points=n, outlier_ratio=ratio, noise=noise,
@@ -89,6 +96,12 @@ class TestBuildTriangleGraph:
         template, image, K, _ = bent_instance(ratio=0.0, seed=1, n=49)
         with pytest.raises(TooFewMatches):
             build_triangle_graph(template[:3], image[:3], K)
+
+    @pytest.mark.parametrize("side", ["template", "image"])
+    def test_wrongly_shaped_points_rejected(self, side):
+        template, image, K, _ = bent_instance(ratio=0.2, seed=1, n=36)
+        with pytest.raises(InvalidArgument, match=r"\(n, 3\).*\(m, 2\)"):
+            build_triangle_graph(*misshapen(side, template, image), K)
 
     def test_deterministic_under_seed(self):
         template, image, K, _ = bent_instance(ratio=0.3, seed=4, n=81)
@@ -276,6 +289,14 @@ class TestTemplatePipeline:
         points[side][5, 0] = np.nan
         with pytest.raises(InvalidArgument):
             template_image_registration(points["template"], points["image"], matches, K)
+
+    @pytest.mark.parametrize("side", ["template", "image"])
+    def test_wrongly_shaped_points_rejected(self, side):
+        # a reshape would split (n, 3) image points into rows of two and an
+        # (n, 2) template into rows of three, and label the wrong points
+        template, image, K, matches = bent_instance(ratio=0.2, seed=1, n=36)
+        with pytest.raises(InvalidArgument, match=r"\(n, 3\).*\(m, 2\)"):
+            template_image_registration(*misshapen(side, template, image), matches, K)
 
     def test_local_filter_mode_runs(self):
         template, image, K, matches = bent_instance(ratio=0.25, seed=2, n=100)
