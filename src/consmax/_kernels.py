@@ -31,17 +31,21 @@ constraints, and the simplex's pivot choices:
 
 LP formulation
 --------------
-The covering LP ``min sum(z)  s.t.  sum(z[i] for i in C_l) >= 1, z >= 0`` is
-solved through its dual, a packing LP with one row per variable and one
-column per constraint:
+The covering LP ``min sum(z)  s.t.  sum(z[i] for i in C_l) >= b_l, z >= 0``
+is solved through its dual, a packing LP with one row per variable and one
+column per constraint, whose cost is the constraint's right-hand side:
 
-    ``max sum(y)  s.t.  sum(y[l] for l containing i) <= 1, y >= 0``.
+    ``max sum(b_l y[l])  s.t.  sum(y[l] for l containing i) <= 1, y >= 0``.
 
 The all-slack basis is feasible, so no phase-1 is needed. At optimality the
 simplex multipliers are a feasible, optimal solution of the covering primal,
-which is what the caller receives. Upper bounds ``z <= 1`` are omitted: with
+which is what the caller receives. Upper bounds ``z <= 1`` are omitted. With
 0/1 rows and unit right-hand sides any optimum can be clipped to 1 without
-losing feasibility, so they are never active at an optimum.
+losing feasibility, so they are never active at an optimum. A right-hand
+side above 1 (a cut ``sum(z[U]) >= h``) can make an optimum put more than 1
+on a variable; dropping ``z <= 1`` then only relaxes the LP, so its optimum
+stays a lower bound on every 0-1 cover, which is all the solver takes from
+it. The returned ``z`` is clipped to ``[0, 1]``.
 """
 
 from __future__ import annotations
@@ -122,7 +126,8 @@ def _rebuild_basis(basis, n_rows, n_cols, col_indptr, col_indices):
 def _pricing(n_rows, n_cols, col_indptr, col_indices):
     """Return ``col_sums(pi)``: per column, the sum of ``pi`` over its rows,
     bit-identical to ``np.add.reduceat(pi[col_indices], col_indptr[:-1])``
-    up to the sign of a zero sum, which ``1 - col_sums`` erases.
+    up to the sign of a zero sum, which ``cost - col_sums`` erases
+    (every cost is positive).
 
     Every column must be non-empty. When no column has more than 8 rows, the
     rows are gathered into a ``(kmax, n_cols)`` index matrix padded with
@@ -153,8 +158,10 @@ def _pricing(n_rows, n_cols, col_indptr, col_indices):
     return col_sums
 
 
-def packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
-    """Vectorized revised simplex, n_cols >= 1. Returns (status, objective, z, iterations)."""
+def packing_simplex(n_rows, n_cols, col_indptr, col_indices, cost, tol, max_iter):
+    """Vectorized revised simplex, n_cols >= 1; ``cost[j]`` is column ``j``'s
+    objective coefficient, the right-hand side of its covering constraint.
+    Returns (status, objective, z, iterations)."""
     basis = np.arange(n_cols, n_cols + n_rows, dtype=np.int64)  # all slacks
     cb = np.zeros(n_rows)
     binv = np.eye(n_rows)
@@ -166,7 +173,7 @@ def packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
     pi = np.zeros(n_rows)
     while it < max_iter:
         pi = cb @ binv
-        d = np.concatenate((1.0 - price(pi), -pi))
+        d = np.concatenate((cost - price(pi), -pi))
         if bland:
             pos = np.nonzero(d > tol)[0]
             if len(pos) == 0:
@@ -179,7 +186,7 @@ def packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
         if j < n_cols:
             rows = col_indices[col_indptr[j]:col_indptr[j + 1]]
             u = binv[:, rows].sum(axis=1)
-            enter_cost = 1.0
+            enter_cost = cost[j]
         else:
             u = binv[:, j - n_cols].copy()
             enter_cost = 0.0

@@ -9,13 +9,21 @@
   complement graph. A colouring-bound clique search (MCQ: greedy sequential
   colouring on bitset rows, Tomita & Kameda 2007) finds that clique; Python
   ints are the bitsets.
-* Otherwise: Branch and Bound with best-first search on LP lower bounds,
-  greedy-cover incumbents, branching on the variable hitting the most
-  unsatisfied constraints, and a unit-gap optimality certificate (the
-  objective is integral, so ``UB - LB < 1 - tol`` proves optimality).
+* Otherwise: cut-and-branch. When the root LP does not certify the greedy
+  incumbent, rounds of rank inequalities of the set-covering polytope
+  (Balas & Ng 1989; Cornuejols & Sassano 1989) raise it: for a union ``U``
+  of two constraints that share a variable, with 5 to 7 members, every 0-1
+  cover has ``sum(z[U]) >= h(U)``, the fewest members of ``U`` that hit
+  every constraint inside ``U``. On the four-variable template programs the
+  plain LP sits at ``p/4``, far below the optimum; the cuts close most of
+  that gap. Then Branch and Bound with best-first search on the LP lower
+  bounds with the cuts, greedy-cover incumbents, branching on the variable
+  hitting the most unsatisfied constraints, and a unit-gap optimality
+  certificate (the objective is integral, so ``UB - LB < 1 - tol`` proves
+  optimality).
 
-``solve_relaxed`` solves the LP relaxation once and rounds at 0.5, on every
-program. The LP sub-solver lives in :mod:`consmax._kernels` (revised simplex
+``solve_relaxed`` solves the plain LP relaxation once and rounds at 0.5, on
+every program. The LP sub-solver lives in :mod:`consmax._kernels` (revised simplex
 on the packing dual). ``_lp`` is the one call of it here, ``_out_of_budget``
 the one stop rule of both searches, and ``_finish`` the one exit of every
 route: it writes the final trace row and builds the ``SolverResult``.
@@ -35,6 +43,15 @@ from .errors import InvalidArgument, LpNotConverged, TooLarge
 
 _BRUTE_FORCE_LIMIT = 24
 _BRUTE_FORCE_CHUNK = 1 << 20
+# root cuts: sets of _MIN_CUT_SET to _MAX_CUT_SET matches, at most
+# _CUTS_PER_ROUND cuts a round over at most _CUT_ROUNDS rounds, candidates
+# enumerated from _PAIR_CHUNK constraints at a time
+_MIN_CUT_SET = 5
+_MAX_CUT_SET = 7
+_CUTS_PER_ROUND = 100
+_CUT_ROUNDS = 20
+_CUT_VIOLATION = 1e-6
+_PAIR_CHUNK = 4
 
 
 # simplex feasibility/optimality tolerance; the certificate closes a gap
@@ -75,47 +92,205 @@ def _lp_max_iter(n_rows: int, n_cols: int) -> int:
     return 10_000 + 40 * n_rows + 4 * n_cols
 
 
-def _residual(program: CoveringProgram, ones_mask: np.ndarray, zeros_mask: np.ndarray):
-    """Restrict a program with constraints to those not covered by fixed
-    outliers, dropping fixed-inlier variables. Returns None when some
-    constraint has every variable fixed to inlier (infeasible node),
-    otherwise ``(free_ids, indptr, indices)``: the remaining free variables
-    and the constraint CSR over their local ids.
+def _residual(rows, n_cons: int, ones_mask: np.ndarray, zeros_mask: np.ndarray):
+    """Restrict the rows ``(indptr, indices, rhs)``, each ``sum(z[row]) >=
+    rhs``, to the free variables: every fixed outlier in a row lowers its rhs
+    by one, a row whose rhs falls to 0 is dropped, and so are members fixed
+    to inlier. The first ``n_cons`` rows are the program's constraints, with
+    rhs 1. Returns None when a kept row has fewer free members than its rhs
+    (infeasible node), otherwise ``(free_ids, indptr, indices, rhs, n)``: the
+    remaining free variables, the kept rows over their local ids, and how
+    many of the kept rows are constraints (they come first).
     """
-    cons_indptr, idx = program.cons_csr
-    seg = cons_indptr[:-1]
-    keep_cons = np.add.reduceat(ones_mask[idx].astype(np.int64), seg) == 0
+    indptr, idx, rhs = rows
+    seg = indptr[:-1]
+    left = rhs - np.add.reduceat(ones_mask[idx].astype(np.int64), seg)
+    keep = left > 0
     free_mask = ~(ones_mask | zeros_mask)
-    elem_keep = np.repeat(keep_cons, np.diff(cons_indptr)) & free_mask[idx]
-    kept_sizes = np.add.reduceat(elem_keep.astype(np.int64), seg)[keep_cons]
-    if (kept_sizes == 0).any():
+    elem_keep = np.repeat(keep, np.diff(indptr)) & free_mask[idx]
+    kept_sizes = np.add.reduceat(elem_keep.astype(np.int64), seg)[keep]
+    left = left[keep]
+    if (kept_sizes < left).any():
         return None
-    indptr = np.concatenate(([0], np.cumsum(kept_sizes)))
     free_ids = np.nonzero(free_mask)[0]
-    remap = np.full(program.num_vars, -1, dtype=np.int64)
+    remap = np.full(len(free_mask), -1, dtype=np.int64)
     remap[free_ids] = np.arange(len(free_ids), dtype=np.int64)
-    return free_ids, indptr, remap[idx[elem_keep]]
+    return (free_ids, np.concatenate(([0], np.cumsum(kept_sizes))), remap[idx[elem_keep]], left,
+            int(keep[:n_cons].sum()))
 
 
-def _lp(n_rows: int, indptr, indices):
+def _lp(n_rows: int, indptr, indices, rhs):
     """Optimum ``(objective, z)`` of the covering LP over ``n_rows``
-    variables and the constraints ``(indptr, indices)``, or
-    ``LpNotConverged``. The kernel is looked up at call time, so a profiler
-    or a test can wrap it in place."""
+    variables and the rows ``(indptr, indices)`` with right-hand sides
+    ``rhs``, or ``LpNotConverged``. The kernel is looked up at call time, so
+    a profiler or a test can wrap it in place."""
     n_cols = len(indptr) - 1
     if n_cols == 0:
         return 0.0, np.zeros(n_rows)
     status, obj, z, pivots = _kernels.packing_simplex(
-        n_rows, n_cols, indptr, indices, LP_TOLERANCE, _lp_max_iter(n_rows, n_cols),
+        n_rows, n_cols, indptr, indices, np.asarray(rhs, dtype=np.float64), LP_TOLERANCE,
+        _lp_max_iter(n_rows, n_cols),
     )
     if status != _kernels.LP_OPTIMAL:
         raise LpNotConverged(f"LP status {status} after {pivots} pivots")
     return float(obj), z
 
 
+def _hits_all(words, missed):
+    """``[r, i]``: no mask in the bitmap ``words[r]`` is among ``missed[i]``,
+    the masks that some set ``t`` misses, so that ``t`` hits them all."""
+    return ((words[:, :1] & missed[:, 0]) | (words[:, 1:] & missed[:, 1])) == 0
+
+
+def _lookup(keys, query):
+    """``(query, entry)`` index pairs that match each query key with every
+    entry of the ascending ``keys`` holding it."""
+    start = np.searchsorted(keys, query)
+    n = np.searchsorted(keys, query, side="right") - start
+    offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    return np.repeat(np.arange(len(query)), n), np.repeat(start, n) + offset
+
+
+def _cut_candidates(program: CoveringProgram):
+    """The candidate cuts of a program: every set ``U = C | D`` of two
+    constraints that share a variable, with 5 to 7 members and ``h(U) >=
+    2``, where ``h(U)`` is the fewest members of ``U`` that hit every
+    constraint inside ``U``. Every 0-1 cover has ``sum(z[U]) >= h(U)`` (a
+    rank inequality of the set-covering polytope).
+
+    Returns ``(sets, h)``: the distinct sets, ascending rows padded with
+    ``num_vars`` in the smallest unsigned dtype that holds it, and their
+    ``h``. The constraints inside ``U`` are found by looking up each subset
+    of ``U`` of a constraint's size, and ``h(U)`` by brute force over the
+    subsets of ``U``. The pairs are enumerated ``_PAIR_CHUNK`` constraints
+    at a time, so memory stays within one chunk's pairs and the sets kept.
+    """
+    p = program.num_vars
+    indptr, indices = program.cons_csr
+    m = len(indptr) - 1
+    sizes = np.diff(indptr)
+    dt = np.min_scalar_type(p)
+    # every constraint of at most 7 members as an ascending row padded with p
+    small = sizes <= _MAX_CUT_SET
+    rows = np.full((m, _MAX_CUT_SET), p, dtype=dt)
+    owner = np.repeat(np.arange(m), sizes)
+    in_small = small[owner]
+    rows[owner[in_small], (np.arange(len(indices)) - indptr[owner])[in_small]] = indices[in_small]
+    rows.sort(axis=1)
+    small_ids = np.flatnonzero(small)
+    # a set's key is the wrapping sum of its members' weights, splitmix64 of
+    # their indices, so that distinct sets rarely share a key; a filter on
+    # the top 16 bits of the constraints' keys passes few other keys, and a
+    # key match is confirmed on the rows
+    weight = np.arange(1, p + 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for right, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 1)):
+        weight = (weight ^ (weight >> np.uint64(right))) * np.uint64(mult)
+    weight[p] = 0
+    keys = weight[rows[small_ids]].sum(axis=1)
+    order = np.argsort(keys, kind="stable")
+    keys, key_rows = keys[order], rows[small_ids[order]]
+    top = np.zeros(1 << 16, dtype=bool)
+    top[keys >> np.uint64(48)] = True
+    # the variable -> constraint incidence over constraints of at most 7
+    var_cons = owner[in_small][np.argsort(indices[in_small], kind="stable")]
+    var_indptr = np.concatenate(([0], np.cumsum(np.bincount(indices[in_small], minlength=p))))
+    # subsets of a set's 7 slots as bit masks: size_of[s] is the size of mask
+    # s and slots[s] its slots ascending, then slot 7 (padding); by_size lists
+    # the masks t by size, and missed[i] is the bitmap (two 64-bit words) of
+    # the masks s that the i-th t misses (s & t == 0)
+    all_masks = np.arange(1 << _MAX_CUT_SET)
+    size_of = np.bitwise_count(all_masks)
+    slot = np.arange(_MAX_CUT_SET)
+    slots = np.sort(np.where(all_masks[:, None] >> slot & 1, slot, _MAX_CUT_SET))
+    by_size = np.argsort(size_of, kind="stable")
+    missed = np.packbits((by_size[:, None] & all_masks) == 0, axis=1, bitorder="little").view("<u8")
+    # the masks that can hold a constraint
+    masks = np.flatnonzero(np.isin(size_of, sizes[small_ids]))
+    kept_sets, kept_h = [np.zeros((0, _MAX_CUT_SET), dtype=dt)], [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(small_ids), _PAIR_CHUNK):
+        c_ids = small_ids[lo:lo + _PAIR_CHUNK]
+        # every pair (C, D), C in the chunk, D > C sharing a member with C
+        members = rows[c_ids][rows[c_ids] != p].astype(np.int64)
+        deg = var_indptr[members + 1] - var_indptr[members]
+        shift = np.repeat(var_indptr[members] - (np.cumsum(deg) - deg), deg)
+        code = np.repeat(np.repeat(c_ids, sizes[c_ids]), deg) * m + var_cons[shift + np.arange(len(shift))]
+        code = np.sort(code[code % m > code // m])
+        c, d = np.divmod(code[np.diff(code, prepend=-1) != 0], m)
+        # U = C | D as an ascending row, repeats and padding moved to the end
+        both = np.sort(np.concatenate((rows[c], rows[d]), axis=1), axis=1)
+        both[:, 1:][both[:, 1:] == both[:, :-1]] = p
+        both.sort(axis=1)
+        n_members = (both != p).sum(axis=1)
+        fits = (n_members >= _MIN_CUT_SET) & (n_members <= _MAX_CUT_SET)
+        sets, n_members = both[fits, :_MAX_CUT_SET], n_members[fits]
+        # the keys of every subset of each set's slots, then those subsets of
+        # a constraint's size, within the members, that pass the filter
+        sub = np.zeros((len(sets), 1 << _MAX_CUT_SET), dtype=np.uint64)
+        for j in range(_MAX_CUT_SET):
+            sub[:, 1 << j:2 << j] = sub[:, :1 << j] + weight[sets[:, j]][:, None]
+        sub = sub[:, masks]
+        row, col = np.nonzero(top[sub >> np.uint64(48)] & (masks < (1 << n_members)[:, None]))
+        q, e = _lookup(keys, sub[row, col])
+        # a set's members at the slots of a mask, in slot order, are ascending
+        padded = np.column_stack((sets, np.full(len(sets), p, dtype=dt)))
+        found = padded[row[q][:, None], slots[masks[col[q]]]]
+        q = q[(found == key_rows[e]).all(axis=1)]
+        inside = np.zeros((len(sets), 1 << _MAX_CUT_SET), dtype=bool)
+        inside[row[q], masks[col[q]]] = True
+        # most sets have a member in every constraint inside (h = 1); the
+        # others take the smallest t that hits every constraint inside
+        words = np.packbits(inside, axis=1, bitorder="little").view("<u8")
+        keep = np.flatnonzero(~_hits_all(words, missed[:1 + _MAX_CUT_SET]).any(axis=1))
+        kept_sets.append(sets[keep])
+        kept_h.append(size_of[by_size[np.argmax(_hits_all(words[keep], missed), axis=1)]].astype(np.int64))
+    sets, h = np.concatenate(kept_sets), np.concatenate(kept_h)
+    order = np.lexsort(sets.T[::-1])
+    sets, h = sets[order], h[order]
+    first = np.ones(len(sets), dtype=bool)
+    first[1:] = (sets[1:] != sets[:-1]).any(axis=1)
+    return sets[first], h[first]
+
+
+def _cut_rounds(program: CoveringProgram, rows, bound: float, z, upper: int):
+    """Raise the root bound with cuts from ``_cut_candidates``.
+
+    Each round adds up to ``_CUTS_PER_ROUND`` candidates not yet added that
+    ``z`` violates by more than ``_CUT_VIOLATION``, most violated first (a
+    stable order), and solves the LP again. The rounds stop when no
+    candidate is violated, when the bound certifies ``upper``, after
+    ``_CUT_ROUNDS`` rounds, or at an LP that does not converge, whose round
+    is dropped. Returns the rows with the cuts, the bound and its ``z``.
+    """
+    sets, h = _cut_candidates(program)
+    p = program.num_vars
+    members = sets != p
+    added = np.zeros(len(h), dtype=bool)
+    for _ in range(_CUT_ROUNDS):
+        if upper - bound < 1.0 - LP_TOLERANCE:
+            break
+        violation = h - np.append(z, 0.0)[sets].sum(axis=1)
+        cand = np.flatnonzero(~added & (violation > _CUT_VIOLATION))
+        if len(cand) == 0:
+            break
+        pick = cand[np.argsort(-violation[cand], kind="stable")[:_CUTS_PER_ROUND]]
+        indptr, indices, rhs = rows
+        grown = (
+            np.concatenate((indptr, indptr[-1] + np.cumsum(members[pick].sum(axis=1)))),
+            np.concatenate((indices, sets[pick][members[pick]].astype(np.int64))),
+            np.concatenate((rhs, h[pick])),
+        )
+        try:
+            new_bound, z = _lp(p, *grown)
+        except LpNotConverged:
+            break
+        added[pick] = True
+        rows, bound = grown, max(bound, new_bound)
+    return rows, bound, z
+
+
 def lp_lower_bound(program: CoveringProgram) -> float:
     """Optimum of the LP relaxation; never exceeds the integer optimum."""
-    return _lp(program.num_vars, *program.cons_csr)[0]
+    return _lp(program.num_vars, *program.cons_csr, np.ones(program.num_constraints))[0]
 
 
 def brute_force_oracle(program: CoveringProgram) -> tuple[int, LabelVector]:
@@ -371,37 +546,51 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
     """Branch and Bound on LP lower bounds, for programs with constraints of
     any size.
 
-    Best-first on lower bounds; the branch variable is the free variable in
-    the most unsatisfied constraints (ties toward the lowest index), with the
-    z=1 child queued before the z=0 child. Node bounds come from the residual
-    LP relaxation; incumbents from greedy covers. A child whose LP does not
-    converge keeps its parent's bound, or its count of fixed outliers when
-    that is larger; a root LP that does not converge gives the bound 0.
+    A root whose LP bound does not certify the greedy incumbent first runs
+    ``_cut_rounds``; the cuts hold for every 0-1 cover, so they stay in
+    every node's LP, and the cut LP's solution rounded at 0.5 replaces the
+    incumbent when it is a cheaper cover. Then best-first on lower bounds;
+    the branch variable is the free variable in the most unsatisfied
+    constraints (ties toward the lowest index), with the z=1 child queued
+    before the z=0 child. Node bounds come from the residual LP relaxation;
+    incumbents from greedy covers of the residual constraints. A child whose
+    LP does not converge keeps its parent's bound, or its count of fixed
+    outliers when that is larger; a root LP that does not converge gives the
+    bound 0 and no cuts.
     """
     t0 = time.perf_counter()
     p = program.num_vars
+    n_cons = program.num_constraints
 
-    def greedy_labels(ones_t, free_ids, indptr, indices):
-        # the fixed outliers plus a greedy cover of the residual program
+    def greedy_labels(ones_t, free_ids, indptr, indices, rhs, n):
+        # the fixed outliers plus a greedy cover of the residual constraints
         z = np.zeros(p, dtype=np.int8)
         z[list(ones_t)] = OUTLIER
-        if len(indptr) > 1:
-            z[free_ids[_kernels.greedy_pick(len(free_ids), indptr, indices) == 1]] = OUTLIER
+        if n:
+            picks = _kernels.greedy_pick(len(free_ids), indptr[:n + 1], indices[:indptr[n]])
+            z[free_ids[picks == 1]] = OUTLIER
         return z
 
-    def lp_bound(free_ids, indptr, indices):
-        # a node whose LP stops without an optimum keeps the trivial residual
-        # bound 0, so one bad LP weakens a bound instead of aborting the solve
+    def lp_solve(free_ids, indptr, indices, rhs, n=0):
+        # an LP that stops without an optimum gives the trivial residual
+        # bound 0 and no solution, so one bad LP weakens a bound instead of
+        # aborting the solve
         try:
-            return _lp(len(free_ids), indptr, indices)[0]
+            return _lp(len(free_ids), indptr, indices, rhs)
         except LpNotConverged:
-            return 0.0
+            return 0.0, None
 
-    no_fix = np.zeros(p, dtype=bool)
-    root = _residual(program, no_fix, no_fix)
-    incumbent = greedy_labels((), *root)
+    # the constraints (rhs 1), then any cuts
+    rows = (*program.cons_csr, np.ones(n_cons, dtype=np.int64))
+    incumbent = greedy_labels((), np.arange(p), *rows, n_cons)
     upper = int(incumbent.sum())
-    root_lb = lp_bound(*root)
+    root_lb, z = lp_solve(np.arange(p), *rows)
+    if z is not None and upper - root_lb >= 1.0 - LP_TOLERANCE:
+        rows, root_lb, z = _cut_rounds(program, rows, root_lb, z, upper)
+        rounded = (z >= 0.5).astype(np.int8)
+        indptr, indices = program.cons_csr
+        if rounded.sum() < upper and np.maximum.reduceat(rounded[indices], indptr[:-1]).all():
+            incumbent, upper = rounded, int(rounded.sum())
     global_lb = min(root_lb, float(upper))
     # the root row, then one row per expanded node
     trace = [TraceEntry(0, upper, global_lb, 1)]
@@ -422,14 +611,15 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
         # is a program with a variable to branch on
         ones_mask, zeros_mask = np.zeros((2, p), dtype=bool)
         ones_mask[list(ones_t)] = zeros_mask[list(zeros_t)] = True
-        free_ids, _, indices = _residual(program, ones_mask, zeros_mask)
-        branch_var = int(free_ids[np.argmax(np.bincount(indices, minlength=len(free_ids)))])
+        free_ids, indptr, indices, _, n = _residual(rows, n_cons, ones_mask, zeros_mask)
+        counts = np.bincount(indices[:indptr[n]], minlength=len(free_ids))
+        branch_var = int(free_ids[np.argmax(counts)])
         for mask, c_ones, c_zeros in (
             (ones_mask, ones_t + (branch_var,), zeros_t),
             (zeros_mask, ones_t, zeros_t + (branch_var,)),
         ):
             mask[branch_var] = True
-            child = _residual(program, ones_mask, zeros_mask)
+            child = _residual(rows, n_cons, ones_mask, zeros_mask)
             mask[branch_var] = False
             if child is None:
                 continue
@@ -438,7 +628,7 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
             z = greedy_labels(c_ones, *child)
             if z.sum() < upper:
                 incumbent, upper = z, int(z.sum())
-            child_bound = max(bound, len(c_ones) + lp_bound(*child))
+            child_bound = max(bound, len(c_ones) + lp_solve(*child)[0])
             if child_bound < upper - 1.0 + LP_TOLERANCE:
                 heapq.heappush(heap, (child_bound, counter, c_ones, c_zeros))
                 counter += 1
@@ -461,7 +651,7 @@ def solve_relaxed(program: CoveringProgram, config: SolverConfig = SolverConfig(
     """
     t0 = time.perf_counter()
     indptr, indices = program.cons_csr
-    obj, z = _lp(program.num_vars, indptr, indices)
+    obj, z = _lp(program.num_vars, indptr, indices, np.ones(program.num_constraints))
     labels = np.where(z >= 0.5, OUTLIER, INLIER).astype(np.int8)
     covered = np.add.reduceat(labels[indices] == OUTLIER, indptr[:-1]) > 0
     return _finish(t0, labels, obj, True, [], violated=int((~covered).sum()))

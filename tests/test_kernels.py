@@ -66,7 +66,7 @@ def ref_greedy_pick(num_vars, cons_indptr, cons_indices):
     return picked
 
 
-def ref_packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
+def ref_packing_simplex(n_rows, n_cols, col_indptr, col_indices, cost, tol, max_iter):
     """The revised simplex, pricing every pivot with ``np.add.reduceat``."""
     basis = np.arange(n_cols, n_cols + n_rows, dtype=np.int64)
     cb = np.zeros(n_rows)
@@ -80,7 +80,7 @@ def ref_packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
     while it < max_iter:
         pi = cb @ binv
         col_sums = np.add.reduceat(pi[col_indices], seg_starts) if len(col_indices) else np.zeros(n_cols)
-        d = np.concatenate((1.0 - col_sums, -pi))
+        d = np.concatenate((cost - col_sums, -pi))
         if bland:
             pos = np.nonzero(d > tol)[0]
             if len(pos) == 0:
@@ -93,7 +93,7 @@ def ref_packing_simplex(n_rows, n_cols, col_indptr, col_indices, tol, max_iter):
         if j < n_cols:
             rows = col_indices[col_indptr[j]:col_indptr[j + 1]]
             u = binv[:, rows].sum(axis=1)
-            enter_cost = 1.0
+            enter_cost = cost[j]
         else:
             u = binv[:, j - n_cols].copy()
             enter_cost = 0.0
@@ -274,14 +274,28 @@ class TestPackingSimplex:
         status, _, its = self.check(program, max_iter=3)
         assert (status, its) == (_kernels.LP_ITERATION_LIMIT, 3)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_costs(self, seed):
+        # right-hand sides 1 to 3 on columns of up to 7 rows, as the solver's
+        # cut rows give them
+        rng = np.random.default_rng(100 + seed)
+        p = int(rng.integers(10, 40))
+        program = random_program(rng, range(1, 8), p, int(rng.integers(p, 4 * p)))
+        cost = rng.integers(1, 4, size=program.num_constraints).astype(np.float64)
+        status, _, _ = self.check(program, cost=cost)
+        assert status == _kernels.LP_OPTIMAL
+
     @staticmethod
-    def check(program, max_iter=None):
+    def check(program, max_iter=None, cost=None):
         """Run the kernel and the reference; return the kernel's (status,
-        objective, iterations) once every output matches bit for bit."""
+        objective, iterations) once every output matches bit for bit. Costs
+        default to all ones, the plain covering LP."""
         indptr, indices = program.cons_csr
         if max_iter is None:
             max_iter = _lp_max_iter(program.num_vars, program.num_constraints)
-        args = (program.num_vars, program.num_constraints, indptr, indices, LP_TOLERANCE, max_iter)
+        if cost is None:
+            cost = np.ones(program.num_constraints)
+        args = (program.num_vars, program.num_constraints, indptr, indices, cost, LP_TOLERANCE, max_iter)
         status, obj, z, its = _kernels.packing_simplex(*args)
         r_status, r_obj, r_z, r_its = ref_packing_simplex(*args)
         assert r_its > 0

@@ -12,6 +12,10 @@ from consmax.errors import InvalidArgument, TooLarge
 from consmax.io import emit_traces
 from consmax.solver import (
     SolverConfig,
+    _cut_candidates,
+    _cut_rounds,
+    _lp,
+    _residual,
     _solve_lp_bnb,
     brute_force_oracle,
     lp_lower_bound,
@@ -77,19 +81,22 @@ class TestLpLowerBound:
             assert bound <= objective + 1e-6
 
 
-def lp_vertex_oracle(program):
+def lp_vertex_oracle(program, rhs=None, upper=True):
     """Independent covering-LP oracle: enumerate vertices of the polytope
-    {A z >= 1, 0 <= z <= 1} as intersections of n tight constraints."""
+    {A z >= rhs, 0 <= z (<= 1 with ``upper``)} as intersections of n tight
+    constraints. ``rhs`` defaults to all ones."""
     n = program.num_vars
+    rhs = [1.0] * program.num_constraints if rhs is None else [float(b) for b in rhs]
     rows = [np.array([1.0 if i in c else 0.0 for i in range(n)]) for c in program.constraints]
-    rhs_rows = [1.0] * len(rows)
+    rhs_rows = list(rhs)
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
         rows.append(e.copy())
         rhs_rows.append(0.0)
-        rows.append(e)
-        rhs_rows.append(1.0)
+        if upper:
+            rows.append(e)
+            rhs_rows.append(1.0)
     best = math.inf
     for combo in itertools.combinations(range(len(rows)), n):
         A = np.array([rows[k] for k in combo])
@@ -97,10 +104,10 @@ def lp_vertex_oracle(program):
         if abs(np.linalg.det(A)) < 1e-9:
             continue
         z = np.linalg.solve(A, b)
-        if (z < -1e-9).any() or (z > 1 + 1e-9).any():
+        if (z < -1e-9).any() or (upper and (z > 1 + 1e-9).any()):
             continue
         feasible = all(
-            sum(z[i] for i in c) >= 1 - 1e-9 for c in program.constraints
+            sum(z[i] for i in c) >= b_c - 1e-9 for c, b_c in zip(program.constraints, rhs)
         )
         if feasible:
             best = min(best, z.sum())
@@ -124,6 +131,25 @@ class TestLpAgainstVertexEnumeration:
                 got = lp_lower_bound(program)
                 assert got == pytest.approx(expected, abs=1e-7), program.constraints
                 checked += 1
+
+    def test_weighted_right_hand_sides(self):
+        # right-hand sides 1 to 3, as cut rows carry them; the kernel drops
+        # z <= 1, which only relaxes the LP
+        rng = np.random.default_rng(13)
+        checked = 0
+        while checked < 25:
+            p = int(rng.integers(2, 6))
+            cons = sorted({
+                tuple(sorted(rng.choice(p, int(rng.integers(1, p + 1)), replace=False).tolist()))
+                for _ in range(int(rng.integers(1, 5)))
+            })
+            program = prog(p, *cons)
+            rhs = rng.integers(1, 4, size=len(cons))
+            rhs = np.minimum(rhs, [len(c) for c in cons])  # every row stays satisfiable
+            got, _ = _lp(p, *program.cons_csr, rhs)
+            assert got == pytest.approx(lp_vertex_oracle(program, rhs, upper=False), abs=1e-7), (cons, rhs)
+            assert got <= lp_vertex_oracle(program, rhs) + 1e-7
+            checked += 1
 
 
 class TestSolveExact:
@@ -199,14 +225,16 @@ class TestSolveExact:
         assert res.objective >= 6  # incumbent is feasible, optimum is 6
 
     def test_failed_node_lp_does_not_abort(self, monkeypatch):
-        # every LP after the root stops at its iteration cap: those nodes
-        # keep their parent's bound and the search still certifies
+        # every LP after the root stops at its iteration cap: the first cut
+        # round's LP (root gap 1.5; {0, 1, 2, 3, 4} has h = 3) ends the cut
+        # rounds, the nodes keep their parent's bound and the search still
+        # certifies
         real = _kernels.packing_simplex
         calls = []
 
-        def flaky(n_rows, n_cols, indptr, indices, tol, max_iter):
+        def flaky(n_rows, n_cols, indptr, indices, cost, tol, max_iter):
             calls.append(n_cols)
-            status, obj, z, it = real(n_rows, n_cols, indptr, indices, tol, max_iter)
+            status, obj, z, it = real(n_rows, n_cols, indptr, indices, cost, tol, max_iter)
             return (status if len(calls) == 1 else _kernels.LP_ITERATION_LIMIT), obj, z, it
 
         monkeypatch.setattr(_kernels, "packing_simplex", flaky)
@@ -219,10 +247,114 @@ class TestSolveExact:
         )
         res = solve_exact(program)
         assert len(calls) > 1
+        assert calls[1] > calls[0]  # the cut round's LP, with its cut columns
         assert res.optimal
         assert res.objective == 6
         assert res.lower_bound == 6
         check_feasible(program, res.labels)
+
+
+def ref_cut_candidates(program):
+    """``{U: h(U)}`` over every union ``U`` of two constraints sharing a
+    variable with 5 to 7 members and ``h(U) >= 2``, by plain enumeration:
+    ``h(U)`` is the size of the smallest subset of ``U`` meeting every
+    constraint inside ``U``."""
+    cons = [frozenset(c) for c in program.constraints]
+    out = {}
+    for c, d in itertools.permutations(cons, 2):
+        u = c | d
+        if not (c & d and 5 <= len(u) <= 7):
+            continue
+        inside = [e for e in cons if e <= u]
+        h = next(k for k in range(len(u) + 1) for t in itertools.combinations(sorted(u), k)
+                 if all(e & set(t) for e in inside))
+        if h >= 2:
+            out[tuple(sorted(u))] = h
+    return out
+
+
+def all_covers(program):
+    """Every 0-1 cover of a program, one row per cover."""
+    p = program.num_vars
+    z = (np.arange(1 << p)[:, None] >> np.arange(p)) & 1
+    feasible = np.ones(len(z), dtype=bool)
+    for c in program.constraints:
+        feasible &= z[:, list(c)].any(axis=1)
+    return z[feasible]
+
+
+def cut_programs():
+    """Thirty seeded {1, 2, 4}-programs of 8 to 14 variables with cut
+    candidates, mostly of four-variable constraints, as template programs
+    are."""
+    rng = np.random.default_rng(2027)
+    programs = []
+    while len(programs) < 30:
+        p = int(rng.integers(8, 15))
+        cons = set()
+        for _ in range(int(rng.integers(p, 4 * p))):
+            size = int(rng.choice([1, 2, 4, 4, 4, 4, 4, 4]))
+            cons.add(tuple(sorted(rng.choice(p, size, replace=False).tolist())))
+        program = prog(p, *sorted(cons))
+        if len(_cut_candidates(program)[1]):
+            programs.append(program)
+    return programs
+
+
+def cut_list(program):
+    sets, h = _cut_candidates(program)
+    return [(tuple(int(v) for v in row if v != program.num_vars), int(k)) for row, k in zip(sets, h)]
+
+
+class TestCuts:
+    def test_candidates_match_enumeration(self):
+        for program in cut_programs():
+            got = cut_list(program)
+            assert dict(got) == ref_cut_candidates(program), program.constraints
+            assert len(dict(got)) == len(got)  # each set once
+
+    def test_every_cover_satisfies_every_cut(self):
+        for program in cut_programs():
+            covers = all_covers(program)
+            for u, h in cut_list(program):
+                assert (covers[:, list(u)].sum(axis=1) >= h).all(), (program.constraints, u, h)
+
+    def test_cut_lp_between_plain_lp_and_optimum(self):
+        raised = 0
+        for program in cut_programs():
+            rows = (*program.cons_csr, np.ones(program.num_constraints, dtype=np.int64))
+            plain, z = _lp(program.num_vars, *rows)
+            # an incumbent above every bound keeps the rounds from stopping early
+            _, bound, _ = _cut_rounds(program, rows, plain, z, program.num_vars + 1)
+            optimum, _ = brute_force_oracle(program)
+            assert plain <= bound <= optimum + 1e-6
+            raised += bound > plain + 1e-6
+        assert raised >= 5
+
+    def test_residual_of_a_cut(self):
+        # the constraint (0, 1) with rhs 1, then the cut z0 + ... + z4 >= 3
+        rows = (np.array([0, 2, 7]), np.array([0, 1, 0, 1, 2, 3, 4]), np.array([1, 3]))
+
+        def residual(ones=(), zeros=()):
+            masks = np.zeros((2, 6), dtype=bool)
+            masks[0, list(ones)] = masks[1, list(zeros)] = True
+            return _residual(rows, 1, *masks)
+
+        # a fixed outlier covers the constraint and lowers the cut's rhs
+        free_ids, indptr, indices, rhs, n = residual(ones=[0])
+        assert (free_ids.tolist(), indptr.tolist(), indices.tolist(), rhs.tolist(), n) == (
+            [1, 2, 3, 4, 5], [0, 4], [0, 1, 2, 3], [2], 0
+        )
+        # a fixed inlier leaves both rows, without itself
+        free_ids, indptr, indices, rhs, n = residual(zeros=[2])
+        assert (free_ids.tolist(), indptr.tolist(), indices.tolist(), rhs.tolist(), n) == (
+            [0, 1, 3, 4, 5], [0, 2, 6], [0, 1, 0, 1, 2, 3], [1, 3], 1
+        )
+        # three fixed outliers meet the cut: it is dropped
+        free_ids, indptr, indices, rhs, n = residual(ones=[0, 2, 4])
+        assert (indptr.tolist(), indices.tolist(), rhs.tolist(), n) == ([0], [], [], 0)
+        # three fixed inliers leave two free members for an rhs of 3
+        assert residual(zeros=[1, 2, 3]) is None
 
 
 def random_pair_program(rng, min_vars, max_vars, pairs_per_var):
@@ -355,7 +487,7 @@ class TestLpBnbPinned:
     # the same for a node_budget=2 stop on the last program. It pins node
     # order, bounds and incumbents; re-record it only for a deliberate change
     # of the search.
-    DIGEST = "8650464790affab78783f0954bc946e3a71fe04ae76df2596ea60d0e01ff02e2"
+    DIGEST = "1b54de520ba38acf9a1ebd9c587567f95782f04088ebc56407a5e9b2bd44a566"
 
     def test_results_unchanged(self):
         programs = pinned_lp_bnb_programs()

@@ -312,6 +312,22 @@ class TestTemplatePipeline:
         assert diag.unconstrained.all()
         assert labels.num_outliers == 0
 
+    def test_criterion_7_one_cluster_certifies_at_the_root(self):
+        # one 225-variable program of 2989 constraints: the root LP is 56.25,
+        # the cut LP 68, and its rounding a 68-outlier cover; the node budget
+        # makes a solve that needed branching stop deterministically
+        template, image, K, matches = bent_instance(ratio=0.3, seed=2, n=225)
+        cfg = TemplateMatchConfig(edges_per_point_cap=100, clusters=1, solver=SolverConfig(node_budget=5))
+        labels, diag = template_image_registration(template, image, matches, K, cfg)
+        res = diag.cluster_reports[0].result
+        assert res.optimal
+        assert res.lower_bound == res.objective == 68
+        mt, mi = template[matches.pairs[:, 0]], image[matches.pairs[:, 1]]
+        program = build_covering_program(build_triangle_graph(mt, mi, K, cfg))
+        indptr, indices = program.cons_csr
+        assert np.maximum.reduceat(res.labels.z[indices], indptr[:-1]).all()
+        assert labels == matches.gt_labels
+
     def test_relaxed_mode_runs(self):
         template, image, K, matches = bent_instance(ratio=0.25, seed=2, n=81)
         cfg = TemplateMatchConfig(mode="relaxed", edges_per_point_cap=100)
