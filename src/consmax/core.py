@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
+from . import _kernels
 from .errors import AllClustersSkipped, InvalidArgument
 
 if TYPE_CHECKING:
@@ -246,10 +247,7 @@ def build_covering_program(graph: ConsensusGraph) -> CoveringProgram:
     """
     num_vars = int(graph.vertices.max()) + 1 if graph.vertices.size else 0
     rows = _edge_unions(graph, graph.edges[graph.theta == 0])
-    rows = rows[np.lexsort(rows.T[::-1])]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    rows = rows[first]
+    rows = rows[_kernels.distinct_rows(rows)]
     member = rows >= 0
     indptr = np.concatenate(([0], np.cumsum(member.sum(axis=1))))
     return CoveringProgram(num_vars, (indptr, rows[member]))
@@ -293,10 +291,7 @@ def kmeans_partition(points, m: int, seed: int) -> ClusterPartition:
             if not (new_assign == k).any():
                 own = dist2[np.arange(n), new_assign].copy()
                 # a singleton cluster must not be emptied in turn
-                for c in np.unique(new_assign):
-                    members = np.nonzero(new_assign == c)[0]
-                    if len(members) == 1:
-                        own[members] = -1.0
+                own[np.bincount(new_assign, minlength=m)[new_assign] == 1] = -1.0
                 new_assign[int(np.argmax(own))] = k
         if np.array_equal(new_assign, assign):
             break

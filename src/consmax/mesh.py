@@ -56,13 +56,9 @@ def _build_csr(vertices, pairs):
     """Symmetric CSR (indptr, indices, weights) over the undirected vertex
     ``pairs``; a pair given twice, in either orientation, counts once."""
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    src = np.concatenate([arr[:, 0], arr[:, 1]])
-    dst = np.concatenate([arr[:, 1], arr[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    first = np.ones(len(src), dtype=bool)
-    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    src, dst = src[first], dst[first]
+    both = np.concatenate([arr, arr[:, ::-1]])
+    first = _kernels.distinct_rows(both)
+    src, dst = both[first, 0], both[first, 1]
     w = np.linalg.norm(vertices[src] - vertices[dst], axis=1)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=len(vertices)))))
     return indptr, dst, w

@@ -147,8 +147,7 @@ def _lookup(keys, query):
     entry of the ascending ``keys`` holding it."""
     start = np.searchsorted(keys, query)
     n = np.searchsorted(keys, query, side="right") - start
-    offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    return np.repeat(np.arange(len(query)), n), np.repeat(start, n) + offset
+    return np.repeat(np.arange(len(query)), n), _kernels.segments(start, n)
 
 
 def _cut_candidates(program: CoveringProgram):
@@ -212,8 +211,8 @@ def _cut_candidates(program: CoveringProgram):
         # every pair (C, D), C in the chunk, D > C sharing a member with C
         members = rows[c_ids][rows[c_ids] != p].astype(np.int64)
         deg = var_indptr[members + 1] - var_indptr[members]
-        shift = np.repeat(var_indptr[members] - (np.cumsum(deg) - deg), deg)
-        code = np.repeat(np.repeat(c_ids, sizes[c_ids]), deg) * m + var_cons[shift + np.arange(len(shift))]
+        nbrs = var_cons[_kernels.segments(var_indptr[members], deg)]
+        code = np.repeat(np.repeat(c_ids, sizes[c_ids]), deg) * m + nbrs
         code = np.sort(code[code % m > code // m])
         c, d = np.divmod(code[np.diff(code, prepend=-1) != 0], m)
         # U = C | D as an ascending row, repeats and padding moved to the end
@@ -244,10 +243,7 @@ def _cut_candidates(program: CoveringProgram):
         kept_sets.append(sets[keep])
         kept_h.append(size_of[by_size[np.argmax(_hits_all(words[keep], missed), axis=1)]].astype(np.int64))
     sets, h = np.concatenate(kept_sets), np.concatenate(kept_h)
-    order = np.lexsort(sets.T[::-1])
-    sets, h = sets[order], h[order]
-    first = np.ones(len(sets), dtype=bool)
-    first[1:] = (sets[1:] != sets[:-1]).any(axis=1)
+    first = _kernels.distinct_rows(sets)
     return sets[first], h[first]
 
 
@@ -562,29 +558,34 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
     p = program.num_vars
     n_cons = program.num_constraints
 
-    def greedy_labels(ones_t, free_ids, indptr, indices, rhs, n):
-        # the fixed outliers plus a greedy cover of the residual constraints
-        z = np.zeros(p, dtype=np.int8)
-        z[list(ones_t)] = OUTLIER
+    def evaluate(ones_t, zeros_t):
+        # one residual per node: None when infeasible, else the fixed outliers plus a greedy
+        # cover, the residual LP's bound and solution (0.0 and None when it stops without an
+        # optimum: a bad LP weakens a bound, never aborts the solve), and the branch variable,
+        # the free one in the most residual constraints (cuts not counted; None if none is left)
+        ones_mask, zeros_mask = np.zeros((2, p), dtype=bool)
+        ones_mask[list(ones_t)] = zeros_mask[list(zeros_t)] = True
+        res = _residual(rows, n_cons, ones_mask, zeros_mask)
+        if res is None:
+            return None
+        free_ids, indptr, indices, rhs, n = res
+        z = np.where(ones_mask, OUTLIER, INLIER).astype(np.int8)
+        branch_var = None
         if n:
-            picks = _kernels.greedy_pick(len(free_ids), indptr[:n + 1], indices[:indptr[n]])
+            cons = indices[:indptr[n]]
+            picks = _kernels.greedy_pick(len(free_ids), indptr[:n + 1], cons)
             z[free_ids[picks == 1]] = OUTLIER
-        return z
-
-    def lp_solve(free_ids, indptr, indices, rhs, n=0):
-        # an LP that stops without an optimum gives the trivial residual
-        # bound 0 and no solution, so one bad LP weakens a bound instead of
-        # aborting the solve
+            branch_var = int(free_ids[np.argmax(np.bincount(cons, minlength=len(free_ids)))])
         try:
-            return _lp(len(free_ids), indptr, indices, rhs)
+            bound, lp_z = _lp(len(free_ids), indptr, indices, rhs)
         except LpNotConverged:
-            return 0.0, None
+            bound, lp_z = 0.0, None
+        return z, bound, lp_z, branch_var
 
     # the constraints (rhs 1), then any cuts
     rows = (*program.cons_csr, np.ones(n_cons, dtype=np.int64))
-    incumbent = greedy_labels((), np.arange(p), *rows, n_cons)
+    incumbent, root_lb, z, root_var = evaluate((), ())
     upper = int(incumbent.sum())
-    root_lb, z = lp_solve(np.arange(p), *rows)
     if z is not None and upper - root_lb >= 1.0 - LP_TOLERANCE:
         rows, root_lb, z = _cut_rounds(program, rows, root_lb, z, upper)
         rounded = (z >= 0.5).astype(np.int8)
@@ -596,41 +597,30 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
     trace = [TraceEntry(0, upper, global_lb, 1)]
 
     optimal = upper - global_lb < 1.0 - LP_TOLERANCE
-    # heap entries: (bound, insertion counter, fixed outliers, fixed inliers)
-    heap = [] if optimal else [(root_lb, 0, (), ())]
+    # heap entries: (bound, insertion counter, fixed outliers, fixed inliers, branch variable)
+    heap = [] if optimal else [(root_lb, 0, (), (), root_var)]
     counter = 1
     while heap:
-        bound, _, ones_t, zeros_t = heap[0]
+        bound, _, ones_t, zeros_t, branch_var = heap[0]
         global_lb = max(global_lb, min(bound, float(upper)))
         # best-first: every open node is at least this bound
         optimal = bound >= upper - 1.0 + LP_TOLERANCE
         if optimal or _out_of_budget(config, len(trace) - 1, t0):
             break
         heapq.heappop(heap)
-        # queued nodes are feasible and keep some constraint, so the residual
-        # is a program with a variable to branch on
-        ones_mask, zeros_mask = np.zeros((2, p), dtype=bool)
-        ones_mask[list(ones_t)] = zeros_mask[list(zeros_t)] = True
-        free_ids, indptr, indices, _, n = _residual(rows, n_cons, ones_mask, zeros_mask)
-        counts = np.bincount(indices[:indptr[n]], minlength=len(free_ids))
-        branch_var = int(free_ids[np.argmax(counts)])
-        for mask, c_ones, c_zeros in (
-            (ones_mask, ones_t + (branch_var,), zeros_t),
-            (zeros_mask, ones_t, zeros_t + (branch_var,)),
-        ):
-            mask[branch_var] = True
-            child = _residual(rows, n_cons, ones_mask, zeros_mask)
-            mask[branch_var] = False
+        # queued nodes keep some constraint, so they have a branch variable
+        for c_ones, c_zeros in ((ones_t + (branch_var,), zeros_t), (ones_t, zeros_t + (branch_var,))):
+            child = evaluate(c_ones, c_zeros)
             if child is None:
                 continue
             # a child without constraints is a leaf: its greedy cover is
             # exact, and its bound of len(c_ones) keeps it off the queue
-            z = greedy_labels(c_ones, *child)
+            z, child_lb, _, child_var = child
             if z.sum() < upper:
                 incumbent, upper = z, int(z.sum())
-            child_bound = max(bound, len(c_ones) + lp_solve(*child)[0])
+            child_bound = max(bound, len(c_ones) + child_lb)
             if child_bound < upper - 1.0 + LP_TOLERANCE:
-                heapq.heappush(heap, (child_bound, counter, c_ones, c_zeros))
+                heapq.heappush(heap, (child_bound, counter, c_ones, c_zeros, child_var))
                 counter += 1
         trace.append(TraceEntry(len(trace), upper, global_lb, len(heap)))
     else:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
+from . import _kernels
 from .core import (
     ConsensusGraph,
     LabelVector,
@@ -125,7 +126,7 @@ def build_triangle_graph(
     pos = np.arange(len(keys))
     later = np.searchsorted(keys, keys, side="right") - pos - 1
     first = np.repeat(pos, later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    second = _kernels.segments(pos + 1, later)
     order = np.lexsort((owner[second], owner[first]))
     first, second = first[order], second[order]
     ordered = np.column_stack([owner[first], owner[second]])

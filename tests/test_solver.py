@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from consmax import _kernels
+from consmax import _kernels, solver
 from consmax.core import ClusterReport, CoveringProgram
 from consmax.errors import InvalidArgument, TooLarge
 from consmax.io import emit_traces
@@ -313,6 +313,16 @@ class TestCuts:
             assert dict(got) == ref_cut_candidates(program), program.constraints
             assert len(dict(got)) == len(got)  # each set once
 
+    def test_candidates_past_255_variables(self):
+        # uint16 rows, and a nine-member constraint that no set can hold
+        for program in cut_programs()[:10]:
+            shifted = [tuple(v + 290 for v in c) for c in program.constraints]
+            wide = prog(program.num_vars + 290, tuple(range(285, 294)), *shifted)
+            assert _cut_candidates(wide)[0].dtype == np.uint16
+            got = cut_list(wide)
+            assert dict(got) == ref_cut_candidates(wide), program.constraints
+            assert len(dict(got)) == len(got)
+
     def test_every_cover_satisfies_every_cut(self):
         for program in cut_programs():
             covers = all_covers(program)
@@ -501,6 +511,23 @@ class TestLpBnbPinned:
             for e in res.trace:
                 h.update(f"{e.iteration},{e.upper_bound},{e.lower_bound!r},{e.open_nodes}\n".encode())
         assert h.hexdigest() == self.DIGEST
+
+    def test_one_residual_per_evaluated_node(self, monkeypatch):
+        # the root, then two children per expanded node: one residual each
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _residual(*args)
+
+        monkeypatch.setattr(solver, "_residual", counted)
+        deepest = 0
+        for program in pinned_lp_bnb_programs():
+            calls.clear()
+            expanded = len(_solve_lp_bnb(program).trace) - 2  # less the root and final rows
+            assert len(calls) == 1 + 2 * expanded
+            deepest = max(deepest, expanded)
+        assert deepest >= 2
 
 
 class TestSolveRoutesPinned:
