@@ -23,16 +23,9 @@ constraints, and the simplex's pivot choices:
   along the tree. So ``dist == D`` bit for bit, in any relaxation order.
 * ``greedy_pick`` updates the counts once per pick, not per newly covered
   constraint: the same counts and picks. Its cover has no redundant picks.
-* ``packing_simplex`` prices columns from a padded gather instead of
-  ``np.add.reduceat``. On a segment ``a0, a1, ..., a(m-1)`` of at most 8
-  elements, ``reduceat`` returns ``a0 + (((a1 + a2) + a3) + ...)`` (the
-  first element, plus numpy's short pairwise sum of the rest, which is a
-  plain left fold below 8 elements); the gather adds in that order. A
-  program with a longer constraint is priced with ``reduceat`` itself.
-  The gather pays for itself: ``reduceat`` alone took 0.426 s, not 0.320 s,
-  on 15 relaxed 100-match grids, 1.27 s, not 0.82 s, on the relaxed
-  900-match grid, and 2.04 s, not 1.83 s, on a one-cluster exact solve
-  (medians of 4 to 6 alternating runs; template programs within noise).
+* ``packing_simplex`` prices its columns with ``np.add.reduceat``, as the
+  reference does, so every column must be non-empty (``reduceat`` gives an
+  empty segment the element at its start).
 
 LP formulation
 --------------
@@ -142,41 +135,6 @@ def _rebuild_basis(basis, n_rows, n_cols, col_indptr, col_indices):
     return binv, xb
 
 
-def _pricing(n_rows, n_cols, col_indptr, col_indices):
-    """Return ``col_sums(pi)``: per column, the sum of ``pi`` over its rows,
-    bit-identical to ``np.add.reduceat(pi[col_indices], col_indptr[:-1])``
-    up to the sign of a zero sum, which ``cost - col_sums`` erases
-    (every cost is positive).
-
-    Every column must be non-empty. When no column has more than 8 rows, the
-    rows are gathered into a ``(kmax, n_cols)`` index matrix padded with
-    ``n_rows``, which points at an extra ``0.0`` slot of ``pi``; adding that
-    slot changes no sum beyond the sign of a zero.
-    """
-    lens = np.diff(col_indptr)
-    kmax = int(lens.max())
-    if kmax > 8:
-        seg_starts = col_indptr[:-1]
-        return lambda pi: np.add.reduceat(pi[col_indices], seg_starts)
-    pad = np.full((kmax, n_cols), n_rows, dtype=np.int64)
-    for r in range(kmax):
-        has = lens > r
-        pad[r, has] = col_indices[col_indptr[:-1][has] + r]
-    first, *later = pad
-    pi_ext = np.zeros(n_rows + 1)
-
-    def col_sums(pi):
-        pi_ext[:n_rows] = pi
-        if not later:
-            return pi_ext[first]
-        rest = pi_ext[later[0]]
-        for idx in later[1:]:
-            rest += pi_ext[idx]
-        return pi_ext[first] + rest
-
-    return col_sums
-
-
 def packing_simplex(n_rows, n_cols, col_indptr, col_indices, cost, tol, max_iter):
     """Vectorized revised simplex, n_cols >= 1; ``cost[j]`` is column ``j``'s
     objective coefficient, the right-hand side of its covering constraint.
@@ -185,23 +143,19 @@ def packing_simplex(n_rows, n_cols, col_indptr, col_indices, cost, tol, max_iter
     cb = np.zeros(n_rows)
     binv = np.eye(n_rows)
     xb = np.ones(n_rows)
-    price = _pricing(n_rows, n_cols, col_indptr, col_indices)
     degenerate_run = 0
     bland = False
+    status = LP_ITERATION_LIMIT
     it = 0
     pi = np.zeros(n_rows)
     while it < max_iter:
         pi = cb @ binv
-        d = np.concatenate((cost - price(pi), -pi))
-        if bland:
-            pos = np.nonzero(d > tol)[0]
-            if len(pos) == 0:
-                return LP_OPTIMAL, float(cb @ xb), _primal_from_pi(pi), it
-            j = int(pos[0])
-        else:
-            j = int(np.argmax(d))
-            if d[j] <= tol:
-                return LP_OPTIMAL, float(cb @ xb), _primal_from_pi(pi), it
+        d = np.concatenate((cost - np.add.reduceat(pi[col_indices], col_indptr[:-1]), -pi))
+        # Bland: the first improving column; Dantzig: the most improving one
+        j = int(np.argmax(d > tol if bland else d))
+        if d[j] <= tol:
+            status = LP_OPTIMAL
+            break
         if j < n_cols:
             rows = col_indices[col_indptr[j]:col_indptr[j + 1]]
             u = binv[:, rows].sum(axis=1)
@@ -213,7 +167,8 @@ def packing_simplex(n_rows, n_cols, col_indptr, col_indices, cost, tol, max_iter
         k = int(np.argmin(ratios))
         theta = ratios[k]
         if not np.isfinite(theta):
-            return LP_UNBOUNDED, float(cb @ xb), _primal_from_pi(pi), it
+            status = LP_UNBOUNDED
+            break
         # prefer the smallest leaving basis id among ties (Bland-compatible)
         ties = np.nonzero(ratios <= theta + 1e-12)[0]
         if len(ties) > 1:
@@ -233,13 +188,7 @@ def packing_simplex(n_rows, n_cols, col_indptr, col_indices, cost, tol, max_iter
         it += 1
         if it % _REFACTOR_EVERY == 0:
             binv, xb = _rebuild_basis(basis, n_rows, n_cols, col_indptr, col_indices)
-    return LP_ITERATION_LIMIT, float(cb @ xb), _primal_from_pi(pi), it
-
-
-def _primal_from_pi(pi):
-    z = pi.copy()
-    np.clip(z, 0.0, 1.0, out=z)
-    return z
+    return status, float(cb @ xb), np.clip(pi, 0.0, 1.0), it
 
 
 # ---------------------------------------------------------------------------

@@ -502,6 +502,39 @@ class TestGoldenReports:
         assert report.stat().st_size == 79396
         assert sha256(report) == "14aa24daf76a89322256311391de501833d74a56e792461f6f5159d4fcffd7b3"
 
+    # relaxed mode reports the LP optimum as its lower bound: instances
+    # whose bound is not an integer pin the LP's last bits and, through the
+    # 0.5 rounding, its solution
+    def test_match_shapes_relaxed(self, tmp_path):
+        code = run_cli(
+            [
+                "synth", "--kind", "isometric-grid", "--n", "100",
+                "--outlier-ratio", "0.5", "--seed", "0", "--out-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        report = tmp_path / "r.json"
+        code = run_cli(
+            [
+                "match-shapes",
+                "--source", str(tmp_path / "source.obj"),
+                "--target", str(tmp_path / "target.obj"),
+                "--matches", str(tmp_path / "matches.txt"),
+                "--mode", "relaxed", "--clusters", "3",
+                "--report-out", str(report),
+            ]
+        )
+        assert code == 0
+        assert json.loads(report.read_text())["solver"]["lower_bound"] == 48.5
+        assert sha256(report) == "4734e4d316d5a03bf1588dc3dcef112137099140c422e73cc7a2e9dd803e34db"
+
+    def test_match_template_relaxed(self, tpl_dir, tmp_path):
+        report = tmp_path / "r.json"
+        code = run_cli(template_args(tpl_dir, "--mode", "relaxed", "--report-out", str(report)))
+        assert code == 0
+        assert json.loads(report.read_text())["solver"]["lower_bound"] == 9.86666666666667
+        assert sha256(report) == "0fdfdfd039f3fb169eede5644511f2c84ba37e2089ae106febf9df6cf71d0ed4"
+
     def test_bench(self, tmp_path):
         code = run_cli(
             [

@@ -104,6 +104,8 @@ class TestCoveringProgramChecks:
             # a repeat is reported before an index too large for int64
             (((0, 2**70), (3, 3)), "duplicate indices"),
             (((5, 5), (0, 9)), "duplicate indices"),
+            # an empty constraint is reported before an index too large for int64
+            (((0, 2**70), ()), "empty constraint"),
         ],
     )
     def test_rejects(self, constraints, message):
@@ -124,6 +126,10 @@ class TestCoveringProgramChecks:
     def test_rejects_malformed_csr(self, indptr, indices, message):
         with pytest.raises(InvalidArgument, match=message):
             CoveringProgram(4, (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64)))
+
+    def test_rejects_negative_num_vars(self):
+        with pytest.raises(InvalidArgument, match="num_vars"):
+            CoveringProgram(-1, (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)))
 
     def test_csr_is_read_only(self):
         prog = CoveringProgram.from_constraints(4, [(0, 1), (2,)])
@@ -206,6 +212,22 @@ class TestGraphValidation:
     def test_vertex_cardinality(self):
         with pytest.raises(InvalidArgument):
             make_graph([[0, 0, 1]], [], [], s=3)
+        with pytest.raises(InvalidArgument, match=r"\(v, s=1\)"):
+            make_graph([[0, 1]], [], [], s=1)
+
+    @pytest.mark.parametrize(
+        "edges,theta,message",
+        [
+            ([(0, 1)], [0, 1], "equal length"),
+            ([(0, 2)], [0], "out of range"),
+            ([(-1, 1)], [0], "out of range"),
+            ([(0, 1)], [2], "0 or 1"),
+        ],
+        ids=["theta-length", "past-last-vertex", "negative-vertex", "theta-value"],
+    )
+    def test_rejects_malformed_edges(self, edges, theta, message):
+        with pytest.raises(InvalidArgument, match=message):
+            make_graph([[0], [1]], edges, theta, s=1)
 
     def test_negative_match_index_rejected(self):
         # -1 pads the compile's union rows, so it must never be a match
@@ -265,6 +287,10 @@ class TestKmeans:
     def test_m_larger_than_n(self):
         with pytest.raises(InvalidArgument):
             kmeans_partition(np.zeros((3, 3)), 4, seed=0)
+
+    def test_points_must_be_2d(self):
+        with pytest.raises(InvalidArgument, match="2-D"):
+            kmeans_partition(np.zeros(3), 1, seed=0)
 
     def test_every_cluster_nonempty(self):
         # near-duplicate points force empty-cluster repair
@@ -336,6 +362,11 @@ class TestMatchSet:
         with pytest.raises(InvalidArgument):
             MatchSet(np.array([[0, 0], [-1, 2]]))
 
+    @pytest.mark.parametrize("pairs", [[0, 1], [[0, 1, 2]]], ids=["1-d", "3-columns"])
+    def test_pairs_shape_checked(self, pairs):
+        with pytest.raises(InvalidArgument, match=r"\(p, 2\)"):
+            MatchSet(np.array(pairs))
+
     def test_gt_length_checked(self):
         with pytest.raises(InvalidArgument):
             MatchSet(np.array([[0, 0]]), LabelVector(np.array([0, 1], dtype=np.int8)))
@@ -345,6 +376,30 @@ class TestClusterPartition:
     def test_nonempty_required(self):
         with pytest.raises(InvalidArgument):
             ClusterPartition(np.array([0, 0, 0]), 2)
+
+    @pytest.mark.parametrize(
+        "assignments,m,message",
+        [
+            ([], 1, "non-empty 1-D"),
+            ([[0, 0]], 1, "non-empty 1-D"),
+            ([0], 0, "m must be"),
+            ([0, 2], 2, "out of range"),
+            ([0, -1], 2, "out of range"),
+        ],
+        ids=["empty", "2-d", "m-zero", "id-past-m", "negative-id"],
+    )
+    def test_rejects(self, assignments, m, message):
+        with pytest.raises(InvalidArgument, match=message):
+            ClusterPartition(np.array(assignments, dtype=np.int64), m)
+
+
+class TestLabelVector:
+    @pytest.mark.parametrize(
+        "z,message", [([[0, 1]], "one-dimensional"), ([0, 2], r"0 \(inlier\)")], ids=["2-d", "value-2"]
+    )
+    def test_rejects(self, z, message):
+        with pytest.raises(InvalidArgument, match=message):
+            LabelVector(np.array(z))
 
 
 class TestIdentityEquality:

@@ -45,6 +45,8 @@ class TestConfig:
             IsometryConfig(eps_abs_frac=0.5)
         with pytest.raises(InvalidArgument):
             IsometryConfig(mode="magic")
+        with pytest.raises(InvalidArgument, match="clusters"):
+            IsometryConfig(clusters=0)
 
     def test_default_cluster_rule(self):
         assert IsometryConfig().effective_clusters(100) == 1
@@ -139,8 +141,12 @@ class TestShapeRegistration:
         # clusters that isolate one component per cluster also work; a failure
         # needs a cluster whose matches are pairwise disconnected
         lonely = MatchSet(np.array([[0, 0], [3, 3]]))
-        with pytest.raises(GeodesicFailure):
+        with pytest.raises(GeodesicFailure, match="source"):
             shape_registration(mesh, mesh, lonely)
+        # connected on the source, split on the target
+        split = MatchSet(np.array([[0, 0], [1, 3]]))
+        with pytest.raises(GeodesicFailure, match="target"):
+            shape_registration(mesh, mesh, split)
 
     def test_point_cloud_inputs(self):
         spec = SynthSpec(kind="isometric-grid", n_points=49, outlier_ratio=0.3, seed=9)

@@ -3,7 +3,7 @@ import pytest
 
 from consmax.errors import InvalidArgument, MalformedInput
 from consmax.io import emit_mesh, load_mesh
-from consmax.mesh import TriMesh, geodesic_distances, knn_graph
+from consmax.mesh import GeodesicTable, TriMesh, geodesic_distances, knn_graph
 from consmax.synth import grid_mesh
 
 
@@ -68,6 +68,11 @@ class TestTriMesh:
         with pytest.raises(InvalidArgument):
             TriMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
 
+    @pytest.mark.parametrize("shape", [(3, 2), (9,)], ids=["2-columns", "1-d"])
+    def test_vertex_shape(self, shape):
+        with pytest.raises(InvalidArgument, match=r"\(n, 3\)"):
+            TriMesh(np.zeros(shape), np.array([[0, 1, 2]]))
+
 
 class TestGeodesics:
     def test_chain_distance(self):
@@ -121,6 +126,11 @@ class TestGeodesics:
         with pytest.raises(InvalidArgument):
             geodesic_distances(chain_mesh(), [0, 10])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)], ids=["not-square", "1-d"])
+    def test_table_must_be_square(self, shape):
+        with pytest.raises(InvalidArgument, match="square"):
+            GeodesicTable(np.zeros(shape))
+
 
 class TestKnnGraph:
     def test_symmetric(self):
@@ -133,6 +143,11 @@ class TestKnnGraph:
                 dense[u, indices[k]] = True
         assert (dense == dense.T).all()
         assert dense.sum(axis=1).min() >= 4
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_points(self, n):
+        with pytest.raises(InvalidArgument, match="two points"):
+            knn_graph(np.zeros((n, 3)))
 
     def test_cloud_geodesics(self):
         # raw clouds fall back to the k-NN graph

@@ -455,6 +455,8 @@ class TestRotationDistance:
     def test_invalid_rotation_rejected(self):
         with pytest.raises(InvalidRotation):
             rotation_geodesic_distance(np.eye(3), np.ones((3, 3)))
+        with pytest.raises(InvalidRotation, match="3x3"):
+            rotation_geodesic_distance(np.eye(2), np.eye(3))
 
     def test_poses_and_matrices_agree(self):
         rng = np.random.default_rng(5)

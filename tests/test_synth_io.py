@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from consmax import _kernels
+from consmax import _kernels, synth
 from consmax.core import ClusterReport, CoveringProgram, LabelVector, MatchSet, Registration
 from consmax.errors import InvalidArgument, LengthMismatch, MalformedInput
 from consmax.io import (
@@ -54,6 +54,25 @@ class TestSynthSpec:
         with pytest.raises(InvalidArgument):
             SynthSpec(kind="torus", n_points=10, outlier_ratio=0.0)
 
+    def test_too_few_points(self):
+        with pytest.raises(InvalidArgument, match="at least 4 points"):
+            SynthSpec(kind="isometric-grid", n_points=3, outlier_ratio=0.0)
+
+    @pytest.mark.parametrize(
+        "make,kind",
+        [(synth_isometric_instance, "template-bend"), (synth_template_instance, "isometric-grid")],
+        ids=["isometric", "template"],
+    )
+    def test_instance_of_the_other_kind_rejected(self, make, kind):
+        with pytest.raises(InvalidArgument, match="expected kind"):
+            make(SynthSpec(kind=kind, n_points=16, outlier_ratio=0.0))
+
+
+def assert_noise_scale(delta, noise):
+    """``delta`` looks like zero-mean normal noise of standard deviation ``noise``."""
+    assert abs(delta.mean()) < 0.25 * noise
+    assert 0.85 * noise < delta.std() < 1.15 * noise
+
 
 class TestIsometricInstance:
     def test_zero_ratio_all_inliers(self):
@@ -99,6 +118,17 @@ class TestIsometricInstance:
         b = synth_isometric_instance(spec)
         assert np.array_equal(a[2].pairs, b[2].pairs)
         assert np.array_equal(a[1].vertices, b[1].vertices)
+
+    def test_noise(self):
+        spec = SynthSpec(kind="isometric-grid", n_points=400, outlier_ratio=0.3, noise=0.05, seed=6)
+        source, target, matches = synth_isometric_instance(spec)
+        again = synth_isometric_instance(spec)
+        assert np.array_equal(target.vertices, again[1].vertices)
+        assert np.array_equal(matches.pairs, again[2].pairs)
+        clean = synth_isometric_instance(SynthSpec(kind="isometric-grid", n_points=400, outlier_ratio=0.3, seed=6))
+        assert np.array_equal(source.vertices, clean[0].vertices)
+        # the same rigid motion, then noise on every target coordinate
+        assert_noise_scale(target.vertices - clean[1].vertices, 0.05)
 
     def test_non_square_grid_connected(self):
         for n in (50, 150, 200):
@@ -163,6 +193,35 @@ class TestTemplateInstance:
         a = synth_template_instance(spec)
         b = synth_template_instance(spec)
         assert np.array_equal(a[1], b[1])
+
+    def test_noise(self):
+        spec = SynthSpec(kind="template-bend", n_points=400, outlier_ratio=0.3, noise=0.5, seed=6)
+        template, image, _, matches = synth_template_instance(spec)
+        again = synth_template_instance(spec)
+        assert np.array_equal(image, again[1])
+        assert np.array_equal(matches.gt_labels.z, again[3].gt_labels.z)
+        clean = synth_template_instance(SynthSpec(kind="template-bend", n_points=400, outlier_ratio=0.3, seed=6))
+        assert np.array_equal(template, clean[0])
+        # the noise draw moves the outlier draw on: compare the rows that
+        # are inliers in both instances
+        both = (matches.gt_labels.z == 0) & (clean[3].gt_labels.z == 0)
+        assert both.sum() > 100
+        assert_noise_scale(image[both] - clean[1][both], 0.5)
+
+    def test_template_behind_the_camera_rejected(self, monkeypatch):
+        # no valid spec places the template nearer than about 2 units, so
+        # the guard is reached by moving the bent template 3 units back
+        bend = synth._bend
+        monkeypatch.setattr(synth, "_bend", lambda points, radius: bend(points, radius) - [0.0, 0.0, 3.0])
+        with pytest.raises(InvalidArgument, match="too close"):
+            synth_template_instance(SynthSpec(kind="template-bend", n_points=16, outlier_ratio=0.0))
+
+    def test_projection_outside_the_frame_rejected(self, monkeypatch):
+        # no seed tried leaves the default 640 x 480 frame; a 100-pixel
+        # frame is too small for any instance
+        monkeypatch.setattr(synth, "IMAGE_SIZE", (100, 100))
+        with pytest.raises(InvalidArgument, match="leaves the frame"):
+            synth_template_instance(SynthSpec(kind="template-bend", n_points=16, outlier_ratio=0.0))
 
 
 class TestEvaluateLabels:

@@ -97,6 +97,11 @@ class TestBuildTriangleGraph:
         with pytest.raises(TooFewMatches):
             build_triangle_graph(template[:3], image[:3], K)
 
+    def test_point_counts_differ(self):
+        template, image, K, _ = bent_instance(ratio=0.0, seed=1, n=49)
+        with pytest.raises(InvalidArgument, match="counts differ"):
+            build_triangle_graph(template, image[:-1], K)
+
     @pytest.mark.parametrize("side", ["template", "image"])
     def test_wrongly_shaped_points_rejected(self, side):
         template, image, K, _ = bent_instance(ratio=0.2, seed=1, n=36)
@@ -273,6 +278,11 @@ class TestTemplatePipeline:
         small = MatchSet(np.column_stack([np.arange(3)] * 2))
         with pytest.raises(AllClustersSkipped):
             template_image_registration(template, image, small, K)
+
+    def test_empty_matches(self):
+        template, image, K, _ = bent_instance(ratio=0.0, seed=1, n=49)
+        with pytest.raises(EmptyMatches):
+            template_image_registration(template, image, MatchSet(np.empty((0, 2), dtype=np.int64)), K)
 
     @pytest.mark.parametrize("bad", [[49, 0], [0, 49]], ids=["template", "image"])
     def test_out_of_range_matches(self, bad):
