@@ -11,10 +11,8 @@ one array row per triangle or per candidate pose:
   polished by Newton steps; the planes come from one stacked symmetric
   eigendecomposition; the quadratics and the depth scaling are array
   operations;
-- every positive depth triple is refined by Newton steps on the three
-  law-of-cosines equations the solver started from; a double root, where
-  pose solutions collide on the danger cylinder, gets a second-order polish
-  along the flat direction of those equations;
+- every positive depth triple is refined by guarded Newton steps on the
+  three law-of-cosines equations the solver started from;
 - one rigid alignment (stacked SVD) per triple gives the pose, which then
   passes the reprojection, duplicate and rotation gates.
 
@@ -188,9 +186,8 @@ def _refine_depths(L, M, a):
     steps; a row stops at a step that does not lower its residual (the step
     is not taken). The depths of ``_lambda_twist`` lose accuracy near multiple
     solutions, where its planes and quadratics are ill-conditioned; these
-    steps restore them against the original equations. Rows whose Jacobian
-    is still rank-deficient at the end (a double root, on the danger
-    cylinder) get ``_null_direction_polish``.
+    steps restore them against the original equations. At a double root (the
+    danger cylinder) they stall near sqrt(eps), far below what agreement reads.
     """
     L = L.copy()
     r, J = _side_equations(L, M, a)
@@ -203,57 +200,6 @@ def _refine_depths(L, M, a):
         better = _dot(r_new, r_new) < _dot(r[live], r[live])
         live = live[better]
         L[live], r[live], J[live] = L_new[better], r_new[better], J_new[better]
-    s = np.linalg.svd(J, compute_uv=False)
-    flat = np.nonzero(s[:, -1] <= 1e-5 * s[:, 0])[0]
-    L[flat] = _null_direction_polish(L[flat], M[flat], a[flat])
-    return L
-
-
-def _null_direction_polish(L, M, a):
-    """Polish depth triples along the null direction of a rank-deficient
-    Jacobian of the side equations (degenerate 'danger cylinder'
-    configurations).
-
-    Newton stalls near sqrt(eps) there because the residual is quadratic in
-    the flat direction. Sampling the residual at +-h, where the quadratic
-    signal exceeds rounding noise, gives a step toward the true zero; the
-    step estimate contracts geometrically, so a row iterates until its steps
-    stop shrinking, or stops as soon as a step would not help.
-    """
-    L = L.copy()
-    prev_alpha = np.full(len(L), np.inf)
-    live = np.arange(len(L))
-    for _ in range(16):
-        if live.size == 0:
-            break
-        Ll, Ml, al = L[live], M[live], a[live]
-        r0, J = _side_equations(Ll, Ml, al)
-        _, s, Vt = np.linalg.svd(J)
-        n = Vt[:, -1]
-        h = 1e-5 * np.maximum(1.0, _norm(Ll))
-        rp = _side_equations(Ll + h[:, None] * n, Ml, al)[0]
-        rm = _side_equations(Ll - h[:, None] * n, Ml, al)[0]
-        d = rp + rm - 2.0 * r0  # ~ 2*kappa*h^2 along the curvature direction
-        dn = _norm(d)
-        hdir = d / dn[:, None]
-        s0, sp, sm = _dot(hdir, r0), _dot(hdir, rp), _dot(hdir, rm)
-        kappa_2h2 = sp + sm - 2.0 * s0
-        alpha = (sm - sp) * h / (2.0 * kappa_2h2)
-        step = np.abs(alpha)
-        L_new = Ll + alpha[:, None] * n
-        r_new = _side_equations(L_new, Ml, al)[0]
-        # residual comparisons at the noise floor need an absolute slack
-        ok = (
-            (s[:, -1] <= 1e-5 * s[:, 0])
-            & (dn >= 1e-13)
-            & (kappa_2h2 > 0.0)
-            & (step <= 10.0 * h)
-            & (step >= 1e-13)
-            & (step < prev_alpha[live])
-            & (_norm(r_new) <= _norm(r0) + 1e-15)
-        )
-        live = live[ok]
-        L[live], prev_alpha[live] = L_new[ok], step[ok]
     return L
 
 

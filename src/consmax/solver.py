@@ -150,7 +150,7 @@ def _lookup(keys, query):
     return np.repeat(np.arange(len(query)), n), _kernels.segments(start, n)
 
 
-def _cut_candidates(program: CoveringProgram):
+def _cut_candidates(program: CoveringProgram, stop=lambda: False):
     """The candidate cuts of a program: every set ``U = C | D`` of two
     constraints that share a variable, with 5 to 7 members and ``h(U) >=
     2``, where ``h(U)`` is the fewest members of ``U`` that hit every
@@ -162,7 +162,8 @@ def _cut_candidates(program: CoveringProgram):
     ``h``. The constraints inside ``U`` are found by looking up each subset
     of ``U`` of a constraint's size, and ``h(U)`` by brute force over the
     subsets of ``U``. The pairs are enumerated ``_PAIR_CHUNK`` constraints
-    at a time, so memory stays within one chunk's pairs and the sets kept.
+    at a time, so memory stays within one chunk's pairs and the sets kept;
+    a true ``stop()`` before a chunk ends the pairs with the sets found so far.
     """
     p = program.num_vars
     indptr, indices = program.cons_csr
@@ -191,8 +192,7 @@ def _cut_candidates(program: CoveringProgram):
     top = np.zeros(1 << 16, dtype=bool)
     top[keys >> np.uint64(48)] = True
     # the variable -> constraint incidence over constraints of at most 7
-    var_cons = owner[in_small][np.argsort(indices[in_small], kind="stable")]
-    var_indptr = np.concatenate(([0], np.cumsum(np.bincount(indices[in_small], minlength=p))))
+    var_indptr, var_cons = _kernels.incidence(owner[in_small], indices[in_small], p)
     # subsets of a set's 7 slots as bit masks: size_of[s] is the size of mask
     # s and slots[s] its slots ascending, then slot 7 (padding); by_size lists
     # the masks t by size, and missed[i] is the bitmap (two 64-bit words) of
@@ -207,6 +207,8 @@ def _cut_candidates(program: CoveringProgram):
     masks = np.flatnonzero(np.isin(size_of, sizes[small_ids]))
     kept_sets, kept_h = [np.zeros((0, _MAX_CUT_SET), dtype=dt)], [np.zeros(0, dtype=np.int64)]
     for lo in range(0, len(small_ids), _PAIR_CHUNK):
+        if stop():
+            break
         c_ids = small_ids[lo:lo + _PAIR_CHUNK]
         # every pair (C, D), C in the chunk, D > C sharing a member with C
         members = rows[c_ids][rows[c_ids] != p].astype(np.int64)
@@ -247,22 +249,25 @@ def _cut_candidates(program: CoveringProgram):
     return sets[first], h[first]
 
 
-def _cut_rounds(program: CoveringProgram, rows, bound: float, z, upper: int):
+def _cut_rounds(program: CoveringProgram, rows, bound: float, z, upper: int, stop=lambda: False):
     """Raise the root bound with cuts from ``_cut_candidates``.
 
     Each round adds up to ``_CUTS_PER_ROUND`` candidates not yet added that
     ``z`` violates by more than ``_CUT_VIOLATION``, most violated first (a
     stable order), and solves the LP again. The rounds stop when no
     candidate is violated, when the bound certifies ``upper``, after
-    ``_CUT_ROUNDS`` rounds, or at an LP that does not converge, whose round
-    is dropped. Returns the rows with the cuts, the bound and its ``z``.
+    ``_CUT_ROUNDS`` rounds, at an LP that does not converge, whose round is
+    dropped, or once ``stop()`` is true before the table or a round. Returns
+    the rows with the cuts, the bound and its ``z``.
     """
-    sets, h = _cut_candidates(program)
+    if stop():
+        return rows, bound, z
+    sets, h = _cut_candidates(program, stop)
     p = program.num_vars
     members = sets != p
     added = np.zeros(len(h), dtype=bool)
     for _ in range(_CUT_ROUNDS):
-        if upper - bound < 1.0 - LP_TOLERANCE:
+        if upper - bound < 1.0 - LP_TOLERANCE or stop():
             break
         violation = h - np.append(z, 0.0)[sets].sum(axis=1)
         cand = np.flatnonzero(~added & (violation > _CUT_VIOLATION))
@@ -317,6 +322,12 @@ def brute_force_oracle(program: CoveringProgram) -> tuple[int, LabelVector]:
             best_count, best_key = cmin, key
     z = np.array([(best_key >> (p - 1 - i)) & 1 for i in range(p)], dtype=np.int8)
     return best_count, LabelVector(z)
+
+
+def _uncovered(program: CoveringProgram, z) -> int:
+    """How many constraints have no member that the 0/1 labels ``z`` mark outlier."""
+    indptr, indices = program.cons_csr
+    return int(np.count_nonzero(np.maximum.reduceat(z[indices], indptr[:-1]) == INLIER))
 
 
 def _out_of_budget(config: SolverConfig, expanded: int, t0: float) -> bool:
@@ -543,16 +554,16 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
     any size.
 
     A root whose LP bound does not certify the greedy incumbent first runs
-    ``_cut_rounds``; the cuts hold for every 0-1 cover, so they stay in
-    every node's LP, and the cut LP's solution rounded at 0.5 replaces the
-    incumbent when it is a cheaper cover. Then best-first on lower bounds;
-    the branch variable is the free variable in the most unsatisfied
-    constraints (ties toward the lowest index), with the z=1 child queued
-    before the z=0 child. Node bounds come from the residual LP relaxation;
-    incumbents from greedy covers of the residual constraints. A child whose
-    LP does not converge keeps its parent's bound, or its count of fixed
-    outliers when that is larger; a root LP that does not converge gives the
-    bound 0 and no cuts.
+    ``_cut_rounds``, which add no cuts once ``_out_of_budget`` holds; the
+    cuts hold for every 0-1 cover, so they stay in every node's LP, and the
+    cut LP's solution rounded at 0.5 replaces the incumbent when it is a
+    cheaper cover. Then best-first on lower bounds; the branch variable is
+    the free variable in the most unsatisfied constraints (ties toward the
+    lowest index), with the z=1 child queued before the z=0 child. Node
+    bounds come from the residual LP relaxation; incumbents from greedy
+    covers of the residual constraints. A child whose LP does not converge
+    keeps its parent's bound, or its count of fixed outliers when that is
+    larger; a root LP that does not converge gives the bound 0 and no cuts.
     """
     t0 = time.perf_counter()
     p = program.num_vars
@@ -587,10 +598,9 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
     incumbent, root_lb, z, root_var = evaluate((), ())
     upper = int(incumbent.sum())
     if z is not None and upper - root_lb >= 1.0 - LP_TOLERANCE:
-        rows, root_lb, z = _cut_rounds(program, rows, root_lb, z, upper)
+        rows, root_lb, z = _cut_rounds(program, rows, root_lb, z, upper, lambda: _out_of_budget(config, 0, t0))
         rounded = (z >= 0.5).astype(np.int8)
-        indptr, indices = program.cons_csr
-        if rounded.sum() < upper and np.maximum.reduceat(rounded[indices], indptr[:-1]).all():
+        if rounded.sum() < upper and _uncovered(program, rounded) == 0:
             incumbent, upper = rounded, int(rounded.sum())
     global_lb = min(root_lb, float(upper))
     # the root row, then one row per expanded node
@@ -640,8 +650,6 @@ def solve_relaxed(program: CoveringProgram, config: SolverConfig = SolverConfig(
     LP convergence, not integer optimality.
     """
     t0 = time.perf_counter()
-    indptr, indices = program.cons_csr
-    obj, z = _lp(program.num_vars, indptr, indices, np.ones(program.num_constraints))
+    obj, z = _lp(program.num_vars, *program.cons_csr, np.ones(program.num_constraints))
     labels = np.where(z >= 0.5, OUTLIER, INLIER).astype(np.int8)
-    covered = np.add.reduceat(labels[indices] == OUTLIER, indptr[:-1]) > 0
-    return _finish(t0, labels, obj, True, [], violated=int((~covered).sum()))
+    return _finish(t0, labels, obj, True, [], violated=_uncovered(program, labels))

@@ -631,7 +631,7 @@ class TestBatchedP3P:
 
     def test_rows_match_single_solves(self):
         # a batch mixing every degenerate kind with regular triangles and
-        # danger-cylinder rows (which reach the null-direction polish) gives
+        # danger-cylinder rows (rank-deficient Jacobians at their roots) gives
         # each row what p3p_solve gives for it alone
         rng = np.random.default_rng(5)
         world, bearings = [], []

@@ -224,6 +224,29 @@ class TestSolveExact:
         assert res.lower_bound <= res.objective
         assert res.objective >= 6  # incumbent is feasible, optimum is 6
 
+    def test_time_budget_stops_before_root_cuts(self, monkeypatch):
+        # the plain LP (4.5) does not certify the greedy incumbent, so the
+        # root would build the cut table; a spent clock stops it first and
+        # keeps the greedy cover and the plain LP bound
+        program = prog(
+            9,
+            (0, 1), (1, 2), (0, 2),
+            (3, 4), (4, 5), (3, 5),
+            (6, 7), (7, 8), (6, 8),
+            (0, 1, 2, 3),
+        )
+        assert len(_cut_candidates(program, stop=lambda: True)[1]) == 0
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("cut table built past the time budget")
+
+        monkeypatch.setattr(solver, "_cut_candidates", no_table)
+        res = solve_exact(program, SolverConfig(time_budget=1e-9))
+        assert not res.optimal
+        assert res.lower_bound == lp_lower_bound(program) == 4.5
+        assert res.objective >= 6
+        check_feasible(program, res.labels)
+
     def test_failed_node_lp_does_not_abort(self, monkeypatch):
         # every LP after the root stops at its iteration cap: the first cut
         # round's LP (root gap 1.5; {0, 1, 2, 3, 4} has h = 3) ends the cut
