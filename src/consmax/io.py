@@ -12,6 +12,7 @@ path and, where one is to blame, its line):
                  line, 0-based; ``gt_flag`` is 0 (inlier) or 1 (outlier).
                  The file holds all of a MatchSet, so reading back what
                  ``emit_matches`` wrote gives the same pairs and labels
+                 (an empty set reads back without labels)
 * points:        line 1 ``count``, then one point per line (2 or 3 floats)
 * intrinsics:    JSON with fields fx, fy, cx, cy
 * report:        JSON (sorted keys, 2-space indent); the solver's wall time
@@ -50,10 +51,14 @@ def read_ascii(path) -> str:
         raise MalformedInput(f"non-ASCII byte 0x{exc.object[exc.start]:02x}", str(path), line) from None
 
 
-def _write_lines(path, lines) -> None:
-    """Write ``lines`` as ASCII text, each ended by a newline."""
+def _write(path, lines, *tables) -> None:
+    """Write ``lines`` as ASCII text, each ended by a newline, then each
+    ``(rows, fmt)`` table a row per line through ``np.savetxt``: ``fmt`` is
+    one value's format (values one space apart) or a whole row's."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+        for rows, fmt in tables:
+            np.savetxt(fh, rows, fmt)
 
 
 def _json(doc: dict) -> str:
@@ -212,24 +217,12 @@ def _parse_ply(text: str, path: str) -> TriMesh:
 def emit_mesh(mesh: TriMesh, path) -> None:
     """Write OBJ or PLY depending on the path suffix (ASCII, round-trip safe)."""
     if str(path).endswith(".ply"):
-        out = ["ply", "format ascii 1.0", f"element vertex {mesh.num_vertices}"]
-        out += [f"property double {ax}" for ax in "xyz"]
-        out += [
-            f"element face {len(mesh.triangles)}",
-            "property list uchar int vertex_indices",
-            "end_header",
-        ]
-        for v in mesh.vertices:
-            out.append(" ".join(f"{x:.17g}" for x in v))
-        for f in mesh.triangles:
-            out.append("3 " + " ".join(str(int(i)) for i in f))
+        header = ["ply", "format ascii 1.0", f"element vertex {mesh.num_vertices}"]
+        header += [f"property double {ax}" for ax in "xyz"]
+        header += [f"element face {len(mesh.triangles)}", "property list uchar int vertex_indices", "end_header"]
+        _write(path, header, (mesh.vertices, "%.17g"), (mesh.triangles, "3 %d %d %d"))
     else:
-        out = []
-        for v in mesh.vertices:
-            out.append("v " + " ".join(f"{x:.17g}" for x in v))
-        for f in mesh.triangles:
-            out.append("f " + " ".join(str(int(i) + 1) for i in f))
-    _write_lines(path, out)
+        _write(path, [], (mesh.vertices, "v %.17g %.17g %.17g"), (mesh.triangles + 1, "f %d %d %d"))
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +230,8 @@ def emit_mesh(mesh: TriMesh, path) -> None:
 # ---------------------------------------------------------------------------
 
 def emit_matches(matches: MatchSet, path) -> None:
-    lines = [str(len(matches))]
-    gt = matches.gt_labels
-    for k, (s, t) in enumerate(matches.pairs.tolist()):
-        if gt is not None:
-            lines.append(f"{s} {t} {int(gt.z[k])}")
-        else:
-            lines.append(f"{s} {t}")
-    _write_lines(path, lines)
+    table = matches.pairs if matches.gt_labels is None else np.column_stack([matches.pairs, matches.gt_labels.z])
+    _write(path, [str(len(matches))], (table, "%d"))
 
 
 def parse_matches(path) -> MatchSet:
@@ -271,10 +258,7 @@ def parse_matches(path) -> MatchSet:
 
 def emit_points(points, path) -> None:
     pts = np.asarray(points, dtype=np.float64)
-    lines = [str(len(pts))]
-    for row in pts:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    _write_lines(path, lines)
+    _write(path, [str(len(pts))], (pts, "%.17g"))
 
 
 def parse_points(path, dim: Optional[int] = None) -> np.ndarray:
@@ -292,7 +276,7 @@ def parse_points(path, dim: Optional[int] = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def emit_intrinsics(K: CameraIntrinsics, path) -> None:
-    _write_lines(path, [_json(asdict(K))])
+    _write(path, [_json(asdict(K))])
 
 
 def parse_intrinsics(path) -> CameraIntrinsics:
@@ -324,7 +308,7 @@ def emit_traces(cluster_reports, path) -> None:
         if rep.result is not None and rep.result.trace:
             rows = ["iteration,upper,lower,open_nodes"]
             rows += [f"{e.iteration},{e.upper_bound},{e.lower_bound!r},{e.open_nodes}" for e in rep.result.trace]
-            _write_lines(path if len(cluster_reports) == 1 else f"{root}.c{c}{ext or '.csv'}", rows)
+            _write(path if len(cluster_reports) == 1 else f"{root}.c{c}{ext or '.csv'}", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -430,4 +414,4 @@ def emit_report(report: dict, path=None) -> None:
     if not path:
         sys.stdout.write(_json(report) + "\n")
     else:
-        _write_lines(path, [_json(report)])
+        _write(path, [_json(report)])

@@ -178,13 +178,11 @@ def _cut_candidates(program: CoveringProgram, stop=lambda: False):
     rows[owner[in_small], (np.arange(len(indices)) - indptr[owner])[in_small]] = indices[in_small]
     rows.sort(axis=1)
     small_ids = np.flatnonzero(small)
-    # a set's key is the wrapping sum of its members' weights, splitmix64 of
-    # their indices, so that distinct sets rarely share a key; a filter on
-    # the top 16 bits of the constraints' keys passes few other keys, and a
-    # key match is confirmed on the rows
-    weight = np.arange(1, p + 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    for right, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 1)):
-        weight = (weight ^ (weight >> np.uint64(right))) * np.uint64(mult)
+    # a set's key is the wrapping sum of its members' weights, fixed random
+    # 64-bit words, so that distinct sets rarely share a key; a filter on the
+    # top 16 bits of the constraints' keys passes few other keys, and a key
+    # match is confirmed on the rows, so any weights give the same table
+    weight = np.random.default_rng(0).bit_generator.random_raw(p + 1)
     weight[p] = 0
     keys = weight[rows[small_ids]].sum(axis=1)
     order = np.argsort(keys, kind="stable")
@@ -606,9 +604,8 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
     # the root row, then one row per expanded node
     trace = [TraceEntry(0, upper, global_lb, 1)]
 
-    optimal = upper - global_lb < 1.0 - LP_TOLERANCE
     # heap entries: (bound, insertion counter, fixed outliers, fixed inliers, branch variable)
-    heap = [] if optimal else [(root_lb, 0, (), (), root_var)]
+    heap = [(root_lb, 0, (), (), root_var)]
     counter = 1
     while heap:
         bound, _, ones_t, zeros_t, branch_var = heap[0]

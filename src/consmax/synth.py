@@ -154,9 +154,10 @@ def synth_template_instance(
     t = np.array([rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), rng.uniform(2.2, 2.8)])
     pose = Pose(rotation=R, translation=t)
 
+    # the bent grid has z >= 0 and lies within 2 units of the origin, and a
+    # turn of at most 0.15 rad lowers no point by more than 0.3, so every
+    # depth is at least 1.9
     cam = pose.apply(template)
-    if (cam[:, 2] <= 0.1).any():
-        raise InvalidArgument("template placed too close to the camera")
     truth = np.column_stack(
         [
             K.fx * cam[:, 0] / cam[:, 2] + K.cx,

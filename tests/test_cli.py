@@ -83,17 +83,22 @@ def sha256(path):
 
 
 class TestSynth:
-    @pytest.mark.parametrize("flag", ["--bend-radius", "--noise"])
-    def test_infinite_value_exits_1(self, tmp_path, flag, capsys):
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--n", "36", "--outlier-ratio", "0.3", "--bend-radius", "inf"], "bend_radius"),
+            (["--n", "36", "--outlier-ratio", "0.3", "--noise", "inf"], "noise"),
+            # a finite spec can be refused too: this seed's pose puts a
+            # corner of the (all but flat) 4-point grid past the frame
+            (["--n", "4", "--outlier-ratio", "0", "--seed", "149995", "--bend-radius", "1e6"], "leaves the frame"),
+        ],
+        ids=["--bend-radius", "--noise", "outside-the-frame"],
+    )
+    def test_infinite_value_exits_1(self, tmp_path, args, message, capsys):
         out = tmp_path / "x"
-        code = run_cli(
-            [
-                "synth", "--kind", "template-bend", "--n", "36", "--outlier-ratio", "0.3",
-                flag, "inf", "--out-dir", str(out),
-            ]
-        )
+        code = run_cli(["synth", "--kind", "template-bend", *args, "--out-dir", str(out)])
         assert code == 1
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_tiny_bend_radius_exits_1(self, tmp_path, capsys):

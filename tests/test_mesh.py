@@ -159,17 +159,35 @@ class TestKnnGraph:
 
 class TestMeshIO:
     def test_obj_round_trip(self, tmp_path):
-        mesh = chain_mesh()
+        # (mesh, the bytes emit_mesh writes): 1-based faces, floats as .17g
+        faceless = TriMesh(vertices=np.array([[0.5, -0.0, 1e-300], [1e300, 2.0, 3.0]]), triangles=np.zeros((0, 3)))
+        cases = [
+            (chain_mesh(), b"v 0 0 0\nv 1 0 0\nv 2 0 0\nv 1 1 0\nf 1 2 4\nf 2 3 4\n"),
+            (faceless, b"v 0.5 -0 1e-300\nv 1.0000000000000001e+300 2 3\n"),
+        ]
         path = tmp_path / "m.obj"
-        emit_mesh(mesh, path)
-        back = load_mesh(path)
-        assert np.array_equal(back.vertices, mesh.vertices)
-        assert np.array_equal(back.triangles, mesh.triangles)
+        for mesh, data in cases:
+            emit_mesh(mesh, path)
+            assert path.read_bytes() == data
+            back = load_mesh(path)
+            assert np.array_equal(back.vertices, mesh.vertices)
+            assert np.array_equal(np.signbit(back.vertices), np.signbit(mesh.vertices))
+            assert np.array_equal(back.triangles, mesh.triangles)
+        # a mesh without vertices is an empty file, which the reader refuses
+        emit_mesh(TriMesh(vertices=np.zeros((0, 3)), triangles=np.zeros((0, 3))), path)
+        assert path.read_bytes() == b""
+        with pytest.raises(MalformedInput, match="no vertices"):
+            load_mesh(path)
 
     def test_ply_round_trip(self, tmp_path):
         mesh = chain_mesh()
         path = tmp_path / "m.ply"
         emit_mesh(mesh, path)
+        assert path.read_bytes() == (
+            b"ply\nformat ascii 1.0\nelement vertex 4\nproperty double x\nproperty double y\n"
+            b"property double z\nelement face 2\nproperty list uchar int vertex_indices\nend_header\n"
+            b"0 0 0\n1 0 0\n2 0 0\n1 1 0\n3 0 1 3\n3 1 2 3\n"
+        )
         back = load_mesh(path)
         assert np.array_equal(back.vertices, mesh.vertices)
         assert np.array_equal(back.triangles, mesh.triangles)

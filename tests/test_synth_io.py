@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from consmax import _kernels, synth
+from consmax import _kernels
 from consmax.core import ClusterReport, CoveringProgram, LabelVector, MatchSet, Registration
 from consmax.errors import InvalidArgument, LengthMismatch, MalformedInput
 from consmax.io import (
@@ -208,20 +208,12 @@ class TestTemplateInstance:
         assert both.sum() > 100
         assert_noise_scale(image[both] - clean[1][both], 0.5)
 
-    def test_template_behind_the_camera_rejected(self, monkeypatch):
-        # no valid spec places the template nearer than about 2 units, so
-        # the guard is reached by moving the bent template 3 units back
-        bend = synth._bend
-        monkeypatch.setattr(synth, "_bend", lambda points, radius: bend(points, radius) - [0.0, 0.0, 3.0])
-        with pytest.raises(InvalidArgument, match="too close"):
-            synth_template_instance(SynthSpec(kind="template-bend", n_points=16, outlier_ratio=0.0))
-
-    def test_projection_outside_the_frame_rejected(self, monkeypatch):
-        # no seed tried leaves the default 640 x 480 frame; a 100-pixel
-        # frame is too small for any instance
-        monkeypatch.setattr(synth, "IMAGE_SIZE", (100, 100))
+    def test_projection_outside_the_frame_rejected(self):
+        # a radius of 1e6 leaves the 4-point grid flat, and this seed's pose
+        # puts one of its corners past the 640 x 480 frame
+        spec = SynthSpec(kind="template-bend", n_points=4, outlier_ratio=0.0, seed=149995, bend_radius=1e6)
         with pytest.raises(InvalidArgument, match="leaves the frame"):
-            synth_template_instance(SynthSpec(kind="template-bend", n_points=16, outlier_ratio=0.0))
+            synth_template_instance(spec)
 
 
 class TestEvaluateLabels:
@@ -258,23 +250,30 @@ class TestEvaluateLabels:
 
 class TestFileFormats:
     def test_matches_round_trip(self, tmp_path):
-        pairs = np.array([[0, 1], [3, 4], [9, 11]])
-        gt = LabelVector(np.array([0, 1, 0], dtype=np.int8))
-        ms = MatchSet(pairs, gt)
+        # (pairs, ground-truth flags, the bytes emit_matches writes)
+        cases = [
+            ([[0, 1], [3, 4], [9, 11]], [0, 1, 0], b"3\n0 1 0\n3 4 1\n9 11 0\n"),
+            (np.zeros((0, 2)), [], b"0\n"),
+        ]
         path = tmp_path / "matches.txt"
-        emit_matches(ms, path)
-        assert path.read_text().splitlines()[0] == "3"
-        back = parse_matches(path)
-        assert np.array_equal(back.pairs, pairs)
-        assert back.gt_labels == gt
+        for pairs, flags, data in cases:
+            gt = LabelVector(np.array(flags, dtype=np.int8))
+            emit_matches(MatchSet(pairs, gt), path)
+            assert path.read_bytes() == data
+            back = parse_matches(path)
+            assert np.array_equal(back.pairs, pairs)
+            # no match line is left to carry the flags of an empty set
+            assert back.gt_labels == (gt if flags else None)
 
     def test_matches_without_gt(self, tmp_path):
-        ms = MatchSet(np.array([[0, 0], [1, 1]]))
         path = tmp_path / "m.txt"
-        emit_matches(ms, path)
-        back = parse_matches(path)
-        assert np.array_equal(back.pairs, ms.pairs)
-        assert back.gt_labels is None
+        for pairs, data in [([[0, 0], [1, 1]], b"2\n0 0\n1 1\n"), (np.zeros((0, 2)), b"0\n")]:
+            ms = MatchSet(pairs)
+            emit_matches(ms, path)
+            assert path.read_bytes() == data
+            back = parse_matches(path)
+            assert np.array_equal(back.pairs, ms.pairs)
+            assert back.gt_labels is None
 
     def test_matches_negative_index(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -333,6 +332,21 @@ class TestFileFormats:
         emit_points(pts, path)
         back = parse_points(path, dim=2)
         assert np.array_equal(back, pts)
+        # (points, the bytes emit_points writes): every float as .17g, so
+        # the file reads back bit for bit, the sign of -0.0 included
+        cases = [
+            ([], b"0\n"),
+            (np.zeros((0, 2)), b"0\n"),
+            ([[0.1, -2.5], [1 / 3, 12345.678]], b"2\n0.10000000000000001 -2.5\n0.33333333333333331 12345.678\n"),
+            ([[1.0, 2.0, 3.0], [-1e-5, 0.7, 2.0**0.5]],
+             b"2\n1 2 3\n-1.0000000000000001e-05 0.69999999999999996 1.4142135623730951\n"),
+            ([[-0.0, 1e-300], [1e300, -1e300]], b"2\n-0 1e-300\n1.0000000000000001e+300 -1.0000000000000001e+300\n"),
+        ]
+        for pts, data in cases:
+            emit_points(pts, path)
+            assert path.read_bytes() == data
+            back = parse_points(path).reshape(np.shape(pts))
+            assert np.array_equal(back, pts) and np.array_equal(np.signbit(back), np.signbit(pts))
 
     def test_points_bad_coordinate(self, tmp_path):
         path = tmp_path / "pts.txt"
