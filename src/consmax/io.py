@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .core import INLIER, OUTLIER, LabelVector, MatchSet, Registration
-from .errors import LengthMismatch, MalformedInput
+from .errors import InvalidArgument, LengthMismatch, MalformedInput
 from .mesh import TriMesh
 from .pose import CameraIntrinsics
 
@@ -257,15 +257,21 @@ def parse_matches(path) -> MatchSet:
 # ---------------------------------------------------------------------------
 
 def emit_points(points, path) -> None:
+    """Write points shaped ``(n, 2)`` or ``(n, 3)``; no points write ``0``."""
     pts = np.asarray(points, dtype=np.float64)
+    if pts.size and (pts.ndim != 2 or pts.shape[1] not in (2, 3)):
+        raise InvalidArgument(f"points must be shaped (n, 2) or (n, 3), got {pts.shape}")
     _write(path, [str(len(pts))], (pts, "%.17g"))
 
 
 def parse_points(path, dim: Optional[int] = None) -> np.ndarray:
+    """Read points of ``dim`` coordinates, or of 2 or 3 (the same on every
+    line) when ``dim`` is None."""
     records = _counted_records(path, "points", "point", "points")
+    widths = (2, 3) if dim is None else (dim,)
     for lineno, tokens in records:
-        if dim is not None and len(tokens) != dim:
-            raise MalformedInput(f"expected {dim} coordinates", str(path), lineno)
+        if len(tokens) not in widths:
+            raise MalformedInput(f"expected {' or '.join(map(str, widths))} coordinates", str(path), lineno)
         if len(tokens) != len(records[0][1]):
             raise MalformedInput("inconsistent coordinate count", str(path), lineno)
     return _numbers(records, np.float64, "coordinate", str(path))

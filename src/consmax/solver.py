@@ -16,7 +16,11 @@
   cover has ``sum(z[U]) >= h(U)``, the fewest members of ``U`` that hit
   every constraint inside ``U``. On the four-variable template programs the
   plain LP sits at ``p/4``, far below the optimum; the cuts close most of
-  that gap. Then Branch and Bound with best-first search on the LP lower
+  that gap. The candidates come in two phases: first the sets of 5 or 6
+  members (of four-member constraints, only pairs sharing two or more
+  members give them), then the 7-member sets, built once a round finds
+  fewer than ``_CUTS_PER_ROUND`` violated candidates of the first phase.
+  Then Branch and Bound with best-first search on the LP lower
   bounds with the cuts, greedy-cover incumbents, branching on the variable
   hitting the most unsatisfied constraints, and a unit-gap optimality
   certificate (the objective is integral, so ``UB - LB < 1 - tol`` proves
@@ -45,13 +49,13 @@ _BRUTE_FORCE_LIMIT = 24
 _BRUTE_FORCE_CHUNK = 1 << 20
 # root cuts: sets of _MIN_CUT_SET to _MAX_CUT_SET matches, at most
 # _CUTS_PER_ROUND cuts a round over at most _CUT_ROUNDS rounds, candidates
-# enumerated from _PAIR_CHUNK constraints at a time
+# enumerated from about _PAIR_CHUNK constraint pairs at a time
 _MIN_CUT_SET = 5
 _MAX_CUT_SET = 7
 _CUTS_PER_ROUND = 100
 _CUT_ROUNDS = 20
 _CUT_VIOLATION = 1e-6
-_PAIR_CHUNK = 4
+_PAIR_CHUNK = 2048
 
 
 # simplex feasibility/optimality tolerance; the certificate closes a gap
@@ -142,28 +146,30 @@ def _hits_all(words, missed):
     return ((words[:, :1] & missed[:, 0]) | (words[:, 1:] & missed[:, 1])) == 0
 
 
-def _lookup(keys, query):
-    """``(query, entry)`` index pairs that match each query key with every
-    entry of the ascending ``keys`` holding it."""
-    start = np.searchsorted(keys, query)
-    n = np.searchsorted(keys, query, side="right") - start
-    return np.repeat(np.arange(len(query)), n), _kernels.segments(start, n)
-
-
-def _cut_candidates(program: CoveringProgram, stop=lambda: False):
+def _cut_candidates(program: CoveringProgram, fewest=_MIN_CUT_SET, most=_MAX_CUT_SET, stop=lambda: False):
     """The candidate cuts of a program: every set ``U = C | D`` of two
-    constraints that share a variable, with 5 to 7 members and ``h(U) >=
-    2``, where ``h(U)`` is the fewest members of ``U`` that hit every
-    constraint inside ``U``. Every 0-1 cover has ``sum(z[U]) >= h(U)`` (a
-    rank inequality of the set-covering polytope).
+    constraints that share a variable, with ``fewest`` to ``most`` members
+    and ``h(U) >= 2``, where ``h(U)`` is the fewest members of ``U`` that
+    hit every constraint inside ``U``. Every 0-1 cover has ``sum(z[U]) >=
+    h(U)`` (a rank inequality of the set-covering polytope).
+
+    A pair that shares ``k`` members has ``|C| + |D| - k`` of them, so a
+    pair that shares one member fits only if ``C`` or ``D`` has at most
+    ``(most + 1) // 2`` members (is short). The pairs are listed at every
+    shared member where one of them is short, and otherwise at every
+    shared pair of members. So with ``most = 6`` (phase 1 of
+    ``_cut_rounds``) no pair of four-member constraints that share one
+    member is listed; with ``most = 7`` (phase 2, 7 members only, or the
+    whole table) all of them are.
 
     Returns ``(sets, h)``: the distinct sets, ascending rows padded with
-    ``num_vars`` in the smallest unsigned dtype that holds it, and their
-    ``h``. The constraints inside ``U`` are found by looking up each subset
-    of ``U`` of a constraint's size, and ``h(U)`` by brute force over the
-    subsets of ``U``. The pairs are enumerated ``_PAIR_CHUNK`` constraints
-    at a time, so memory stays within one chunk's pairs and the sets kept;
-    a true ``stop()`` before a chunk ends the pairs with the sets found so far.
+    ``num_vars`` in the smallest unsigned dtype that holds it, in
+    lexicographic order, and their ``h``. The constraints inside ``U`` are
+    found by looking up each subset of ``U`` of a constraint's size, and
+    ``h(U)`` by brute force over the subsets of ``U``. The pairs are listed
+    about ``_PAIR_CHUNK`` at a time, so memory stays within one chunk's
+    pairs and the sets kept; a true ``stop()`` before a chunk ends the
+    pairs with the sets found so far.
     """
     p = program.num_vars
     indptr, indices = program.cons_csr
@@ -179,18 +185,42 @@ def _cut_candidates(program: CoveringProgram, stop=lambda: False):
     rows.sort(axis=1)
     small_ids = np.flatnonzero(small)
     # a set's key is the wrapping sum of its members' weights, fixed random
-    # 64-bit words, so that distinct sets rarely share a key; a filter on the
-    # top 16 bits of the constraints' keys passes few other keys, and a key
-    # match is confirmed on the rows, so any weights give the same table
-    weight = np.random.default_rng(0).bit_generator.random_raw(p + 1)
+    # 16-bit words, so that distinct sets rarely share a key; the constraints
+    # are listed by key, count[k] of them from first_key[k], and a key match
+    # is confirmed on the rows, so any weights give the same table
+    weight = (np.random.default_rng(0).bit_generator.random_raw(p + 1) >> np.uint64(48)).astype(np.uint16)
     weight[p] = 0
-    keys = weight[rows[small_ids]].sum(axis=1)
+    keys = weight[rows[small_ids]].sum(axis=1, dtype=np.uint16)
     order = np.argsort(keys, kind="stable")
-    keys, key_rows = keys[order], rows[small_ids[order]]
-    top = np.zeros(1 << 16, dtype=bool)
-    top[keys >> np.uint64(48)] = True
-    # the variable -> constraint incidence over constraints of at most 7
-    var_indptr, var_cons = _kernels.incidence(owner[in_small], indices[in_small], p)
+    key_rows = rows[small_ids[order]]
+    count = np.bincount(keys, minlength=1 << 16)
+    first_key = np.cumsum(count) - count
+    # the pairs to list as runs: constraint run_c[k] with the constraints
+    # listed[run_start[k]:run_start[k] + run_n[k]]. At each member v of C,
+    # every constraint holding v if C is short, else the short ones (they
+    # come first at every variable)
+    short = sizes <= (most + 1) // 2
+    run_c, var = owner[in_small], indices[in_small]
+    first = np.argsort(~short[run_c], kind="stable")
+    var_indptr, listed = _kernels.incidence(run_c[first], var[first], p)
+    run_start = var_indptr[var]
+    run_n = np.where(short[run_c], var_indptr[var + 1] - run_start, np.bincount(var[short[run_c]], minlength=p)[var])
+    # then at each member pair a < b of a longer C, coded a * p + b, the
+    # longer constraints holding both
+    a, b = np.triu_indices(_MAX_CUT_SET, 1)
+    has_pair = (rows[:, b] != p) & ~short[:, None]
+    pair, pair_c = (rows[:, a].astype(np.int64) * p + rows[:, b])[has_pair], np.nonzero(has_pair)[0]
+    order = np.argsort(pair, kind="stable")
+    at = np.searchsorted(pair[order], pair)
+    run_c = np.concatenate((run_c, pair_c))
+    run_start = np.concatenate((run_start, len(listed) + at))
+    run_n = np.concatenate((run_n, np.searchsorted(pair[order], pair, side="right") - at))
+    listed = np.concatenate((listed, pair_c[order]))
+    # each C's runs together, cut into chunks that list about _PAIR_CHUNK pairs
+    order = np.argsort(run_c, kind="stable")
+    run_c, run_start, run_n = run_c[order], run_start[order], run_n[order]
+    chunk = (np.cumsum(run_n) - run_n) // _PAIR_CHUNK
+    bounds = np.append(np.flatnonzero(np.diff(chunk, prepend=-1)), len(run_n))
     # subsets of a set's 7 slots as bit masks: size_of[s] is the size of mask
     # s and slots[s] its slots ascending, then slot 7 (padding); by_size lists
     # the masks t by size, and missed[i] is the bitmap (two 64-bit words) of
@@ -204,32 +234,30 @@ def _cut_candidates(program: CoveringProgram, stop=lambda: False):
     # the masks that can hold a constraint
     masks = np.flatnonzero(np.isin(size_of, sizes[small_ids]))
     kept_sets, kept_h = [np.zeros((0, _MAX_CUT_SET), dtype=dt)], [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, len(small_ids), _PAIR_CHUNK):
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         if stop():
             break
-        c_ids = small_ids[lo:lo + _PAIR_CHUNK]
-        # every pair (C, D), C in the chunk, D > C sharing a member with C
-        members = rows[c_ids][rows[c_ids] != p].astype(np.int64)
-        deg = var_indptr[members + 1] - var_indptr[members]
-        nbrs = var_cons[_kernels.segments(var_indptr[members], deg)]
-        code = np.repeat(np.repeat(c_ids, sizes[c_ids]), deg) * m + nbrs
-        code = np.sort(code[code % m > code // m])
+        # the chunk's pairs (C, D) with D > C, each once
+        c = np.repeat(run_c[lo:hi], run_n[lo:hi])
+        d = listed[_kernels.segments(run_start[lo:hi], run_n[lo:hi])]
+        code = np.sort((c * m + d)[d > c])
         c, d = np.divmod(code[np.diff(code, prepend=-1) != 0], m)
         # U = C | D as an ascending row, repeats and padding moved to the end
         both = np.sort(np.concatenate((rows[c], rows[d]), axis=1), axis=1)
         both[:, 1:][both[:, 1:] == both[:, :-1]] = p
         both.sort(axis=1)
         n_members = (both != p).sum(axis=1)
-        fits = (n_members >= _MIN_CUT_SET) & (n_members <= _MAX_CUT_SET)
+        fits = (n_members >= fewest) & (n_members <= most)
         sets, n_members = both[fits, :_MAX_CUT_SET], n_members[fits]
         # the keys of every subset of each set's slots, then those subsets of
-        # a constraint's size, within the members, that pass the filter
-        sub = np.zeros((len(sets), 1 << _MAX_CUT_SET), dtype=np.uint64)
+        # a constraint's size, within the members, whose key some constraint has
+        sub = np.zeros((len(sets), 1 << _MAX_CUT_SET), dtype=np.uint16)
         for j in range(_MAX_CUT_SET):
             sub[:, 1 << j:2 << j] = sub[:, :1 << j] + weight[sets[:, j]][:, None]
         sub = sub[:, masks]
-        row, col = np.nonzero(top[sub >> np.uint64(48)] & (masks < (1 << n_members)[:, None]))
-        q, e = _lookup(keys, sub[row, col])
+        row, col = np.nonzero((count[sub] > 0) & (masks < (1 << n_members)[:, None]))
+        k = sub[row, col]
+        q, e = np.repeat(np.arange(len(k)), count[k]), _kernels.segments(first_key[k], count[k])
         # a set's members at the slots of a mask, in slot order, are ascending
         padded = np.column_stack((sets, np.full(len(sets), p, dtype=dt)))
         found = padded[row[q][:, None], slots[masks[col[q]]]]
@@ -248,34 +276,55 @@ def _cut_candidates(program: CoveringProgram, stop=lambda: False):
 
 
 def _cut_rounds(program: CoveringProgram, rows, bound: float, z, upper: int, stop=lambda: False):
-    """Raise the root bound with cuts from ``_cut_candidates``.
+    """Raise the root bound with cuts from ``_cut_candidates``, in two phases.
 
-    Each round adds up to ``_CUTS_PER_ROUND`` candidates not yet added that
-    ``z`` violates by more than ``_CUT_VIOLATION``, most violated first (a
-    stable order), and solves the LP again. The rounds stop when no
-    candidate is violated, when the bound certifies ``upper``, after
-    ``_CUT_ROUNDS`` rounds, at an LP that does not converge, whose round is
-    dropped, or once ``stop()`` is true before the table or a round. Returns
-    the rows with the cuts, the bound and its ``z``.
+    The rounds start from the table of the sets with 5 or 6 members (phase
+    1). The first round in which it offers fewer than ``_CUTS_PER_ROUND``
+    violated candidates not yet added builds the 7-member sets (phase 2),
+    and from then on the rounds pick from the whole table. Each round adds
+    up to ``_CUTS_PER_ROUND`` candidates not yet added that ``z`` violates by
+    more than ``_CUT_VIOLATION``, most violated first (a stable order over
+    the table's lexicographic rows), and solves the LP again. The rounds
+    stop when no candidate is violated, when the bound certifies ``upper``,
+    after ``_CUT_ROUNDS`` rounds, at an LP that does not converge, whose
+    round is dropped, or once ``stop()`` is true before a table or a round,
+    or while phase 2 is built. Returns the rows with the cuts, the bound
+    and its ``z``.
     """
     if stop():
         return rows, bound, z
-    sets, h = _cut_candidates(program, stop)
+    sets, h = _cut_candidates(program, most=_MAX_CUT_SET - 1, stop=stop)
     p = program.num_vars
-    members = sets != p
     added = np.zeros(len(h), dtype=bool)
+    whole = False
+
+    def offered():
+        violation = h - np.append(z, 0.0)[sets].sum(axis=1)
+        return violation, np.flatnonzero(~added & (violation > _CUT_VIOLATION))
+
     for _ in range(_CUT_ROUNDS):
         if upper - bound < 1.0 - LP_TOLERANCE or stop():
             break
-        violation = h - np.append(z, 0.0)[sets].sum(axis=1)
-        cand = np.flatnonzero(~added & (violation > _CUT_VIOLATION))
+        violation, cand = offered()
+        if not whole and len(cand) < _CUTS_PER_ROUND:
+            more, more_h = _cut_candidates(program, fewest=_MAX_CUT_SET, stop=stop)
+            if stop():
+                break
+            # the phases hold sets of different sizes, so the merged table
+            # is the whole table, in its row order
+            order = _kernels.distinct_rows(np.concatenate((sets, more)))
+            sets, h = np.concatenate((sets, more))[order], np.concatenate((h, more_h))[order]
+            added = np.append(added, np.zeros(len(more_h), dtype=bool))[order]
+            whole = True
+            violation, cand = offered()
         if len(cand) == 0:
             break
         pick = cand[np.argsort(-violation[cand], kind="stable")[:_CUTS_PER_ROUND]]
+        members = sets[pick] != p
         indptr, indices, rhs = rows
         grown = (
-            np.concatenate((indptr, indptr[-1] + np.cumsum(members[pick].sum(axis=1)))),
-            np.concatenate((indices, sets[pick][members[pick]].astype(np.int64))),
+            np.concatenate((indptr, indptr[-1] + np.cumsum(members.sum(axis=1)))),
+            np.concatenate((indices, sets[pick][members].astype(np.int64))),
             np.concatenate((rhs, h[pick])),
         )
         try:

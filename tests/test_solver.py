@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from consmax import _kernels, solver
-from consmax.core import ClusterReport, CoveringProgram
+from consmax.core import ClusterReport, CoveringProgram, build_covering_program, kmeans_partition
 from consmax.errors import InvalidArgument, TooLarge
 from consmax.io import emit_traces
 from consmax.solver import (
@@ -22,6 +22,8 @@ from consmax.solver import (
     solve_exact,
     solve_relaxed,
 )
+from consmax.synth import SynthSpec, synth_template_instance
+from consmax.template import TemplateMatchConfig, build_triangle_graph
 
 
 def prog(num_vars, *constraints):
@@ -277,16 +279,16 @@ class TestSolveExact:
         check_feasible(program, res.labels)
 
 
-def ref_cut_candidates(program):
+def ref_cut_candidates(program, fewest=5, most=7):
     """``{U: h(U)}`` over every union ``U`` of two constraints sharing a
-    variable with 5 to 7 members and ``h(U) >= 2``, by plain enumeration:
-    ``h(U)`` is the size of the smallest subset of ``U`` meeting every
-    constraint inside ``U``."""
+    variable with ``fewest`` to ``most`` members and ``h(U) >= 2``, by plain
+    enumeration of every pair: ``h(U)`` is the size of the smallest subset
+    of ``U`` meeting every constraint inside ``U``."""
     cons = [frozenset(c) for c in program.constraints]
     out = {}
     for c, d in itertools.permutations(cons, 2):
         u = c | d
-        if not (c & d and 5 <= len(u) <= 7):
+        if not (c & d and fewest <= len(u) <= most):
             continue
         inside = [e for e in cons if e <= u]
         h = next(k for k in range(len(u) + 1) for t in itertools.combinations(sorted(u), k)
@@ -324,27 +326,51 @@ def cut_programs():
     return programs
 
 
-def cut_list(program):
-    sets, h = _cut_candidates(program)
+def mixed_cut_programs():
+    """Ten seeded programs of 9 to 12 variables with constraints of 1 to 7
+    members, so that pairs of five- and six-member constraints reach the
+    sets through their shared member pairs in both phases."""
+    rng = np.random.default_rng(2028)
+    programs = []
+    for _ in range(10):
+        p = int(rng.integers(9, 13))
+        cons = {tuple(sorted(rng.choice(p, int(rng.integers(1, 8)), replace=False).tolist()))
+                for _ in range(int(rng.integers(p, 3 * p)))}
+        programs.append(prog(p, *sorted(cons)))
+    return programs
+
+
+def cut_list(program, **sizes):
+    sets, h = _cut_candidates(program, **sizes)
     return [(tuple(int(v) for v in row if v != program.num_vars), int(k)) for row, k in zip(sets, h)]
+
+
+def check_phases(program):
+    """Each phase's table, and the whole table, against the enumeration
+    restricted to its set sizes; the two phases make up the whole table."""
+    whole = ref_cut_candidates(program)
+    phases = [(dict(most=6), ref_cut_candidates(program, 5, 6)), (dict(fewest=7), ref_cut_candidates(program, 7, 7))]
+    for sizes, ref in [(dict(), whole), *phases]:
+        got = cut_list(program, **sizes)
+        assert dict(got) == ref, (sizes, program.constraints)
+        assert len(dict(got)) == len(got)  # each set once
+        assert got == sorted(got, key=lambda row: row[0] + (program.num_vars,) * (7 - len(row[0])))
+    assert phases[0][1] | phases[1][1] == whole
 
 
 class TestCuts:
     def test_candidates_match_enumeration(self):
-        for program in cut_programs():
-            got = cut_list(program)
-            assert dict(got) == ref_cut_candidates(program), program.constraints
-            assert len(dict(got)) == len(got)  # each set once
+        for program in cut_programs() + mixed_cut_programs():
+            check_phases(program)
 
     def test_candidates_past_255_variables(self):
         # uint16 rows, and a nine-member constraint that no set can hold
         for program in cut_programs()[:10]:
             shifted = [tuple(v + 290 for v in c) for c in program.constraints]
             wide = prog(program.num_vars + 290, tuple(range(285, 294)), *shifted)
-            assert _cut_candidates(wide)[0].dtype == np.uint16
-            got = cut_list(wide)
-            assert dict(got) == ref_cut_candidates(wide), program.constraints
-            assert len(dict(got)) == len(got)
+            for sizes in (dict(), dict(most=6), dict(fewest=7)):
+                assert _cut_candidates(wide, **sizes)[0].dtype == np.uint16
+            check_phases(wide)
 
     def test_every_cover_satisfies_every_cut(self):
         for program in cut_programs():
@@ -388,6 +414,99 @@ class TestCuts:
         assert (indptr.tolist(), indices.tolist(), rhs.tolist(), n) == ([0], [], [], 0)
         # three fixed inliers leave two free members for an rhs of 3
         assert residual(zeros=[1, 2, 3]) is None
+
+
+@pytest.fixture(scope="module")
+def tpl_bend_c4_programs():
+    """The programs of the tpl-bend-c4 benchmark's clusters 0 and 3, the two
+    whose root LP does not certify the greedy cover."""
+    spec = SynthSpec(kind="template-bend", n_points=225, outlier_ratio=0.3, seed=2, bend_radius=2.0)
+    template, image, K, matches = synth_template_instance(spec)
+    cfg = TemplateMatchConfig(edges_per_point_cap=100, clusters=4)
+    mt, mi = template[matches.pairs[:, 0]], image[matches.pairs[:, 1]]
+    partition = kmeans_partition(mt, cfg.clusters, cfg.seed)
+    return {
+        c: build_covering_program(build_triangle_graph(mt[idx], mi[idx], K, cfg))
+        for c, idx in ((c, partition.members(c)) for c in (0, 3))
+    }
+
+
+class TestCutPhases:
+    @staticmethod
+    def record(monkeypatch):
+        """Wrap the table and the LP. Returns the event list: ``[fewest,
+        most, sets found]`` per table, from the moment it starts (sets found
+        None until it returns), and ``"lp"`` per LP."""
+        events = []
+
+        def table(program, **sizes):
+            event = [sizes.get("fewest", 5), sizes.get("most", 7), None]
+            events.append(event)
+            sets, h = _cut_candidates(program, **sizes)
+            event[2] = len(h)
+            return sets, h
+
+        def lp(*args):
+            events.append("lp")
+            return _lp(*args)
+
+        monkeypatch.setattr(solver, "_cut_candidates", table)
+        monkeypatch.setattr(solver, "_lp", lp)
+        return events
+
+    def test_cluster_0_certifies_without_phase_2(self, monkeypatch, tpl_bend_c4_programs):
+        events = self.record(monkeypatch)
+        res = solve_exact(tpl_bend_c4_programs[0])
+        assert res.optimal and res.objective == 21
+        assert len(res.trace) == 2  # the root row and the final row
+        assert [e[:2] for e in events if e != "lp"] == [[5, 6]]
+
+    def test_small_programs_build_phase_2_before_the_first_round(self, monkeypatch):
+        # phase 1 offers fewer than _CUTS_PER_ROUND candidates at once
+        rounds = 0
+        for program in cut_programs():
+            rows = (*program.cons_csr, np.ones(program.num_constraints, dtype=np.int64))
+            plain, z = _lp(program.num_vars, *rows)
+            events = self.record(monkeypatch)
+            _cut_rounds(program, rows, plain, z, program.num_vars + 1)
+            if "lp" in events:
+                assert [e if e == "lp" else e[:2] for e in events[:3]] == [[5, 6], [7, 7], "lp"]
+                rounds += 1
+        assert rounds >= 5
+
+    def test_stop_after_phase_1(self, monkeypatch, tpl_bend_c4_programs):
+        # cluster 3 runs phase-1 rounds, then builds phase 2. A stop that
+        # turns true before phase 2, at its first chunk or after that chunk
+        # returns phase 1's rows, bound and z
+        program = tpl_bend_c4_programs[3]
+        rows = (*program.cons_csr, np.ones(program.num_constraints, dtype=np.int64))
+        plain, z = _lp(program.num_vars, *rows)
+        upper = program.num_vars + 1
+        events = self.record(monkeypatch)
+        _cut_rounds(program, rows, plain, z, upper)
+        phase_2 = next(e for e in events if e != "lp" and e[0] == 7)
+        k = events[:events.index(phase_2)].count("lp")
+        assert k >= 1 and phase_2[2] > 0
+
+        events = self.record(monkeypatch)
+        first = _cut_rounds(program, rows, plain, z, upper, lambda: events.count("lp") >= k)
+        assert events.count("lp") == k and [e[:2] for e in events if e != "lp"] == [[5, 6]]
+        assert first[1] > plain
+        for turn in (1, 2):
+            events = self.record(monkeypatch)
+            checks = []
+
+            def stop():
+                # true from the turn-th check once phase 2 has started
+                checks.extend([1] if [7, 7] in [e[:2] for e in events if e != "lp"] else [])
+                return len(checks) >= turn
+
+            again = _cut_rounds(program, rows, plain, z, upper, stop)
+            found = [e[2] for e in events if e != "lp" and e[0] == 7]
+            assert events.count("lp") == k and len(found) == 1
+            assert found[0] == 0 if turn == 1 else 0 < found[0] < phase_2[2]
+            assert all(np.array_equal(a, b) for a, b in zip(again[0], first[0]))
+            assert again[1] == first[1] and np.array_equal(again[2], first[2])
 
 
 def random_pair_program(rng, min_vars, max_vars, pairs_per_var):

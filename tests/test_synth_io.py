@@ -313,10 +313,13 @@ class TestFileFormats:
             (parse_points, "", 1, "empty points file"),
             (partial(parse_points, dim=2), "2\n0.5 1.5\n2.5 3.5 4.5\n", 3, "expected 2 coordinates"),
             (parse_points, "2\n0.5 1.5 2.5\n3.5 4.5\n", 3, "inconsistent coordinate count"),
+            # without dim, the format's 2 or 3 coordinates
+            (parse_points, "2\n0.5\n1.5\n", 2, "expected 2 or 3 coordinates"),
+            (parse_points, "2\n0.5 1.5 2.5\n3.5 4.5 5.5 6.5\n", 3, "expected 2 or 3 coordinates"),
         ],
         ids=[
             "empty-matches", "one-index", "gt-flag-2", "empty-points", "three-of-two-coordinates",
-            "inconsistent-coordinates",
+            "inconsistent-coordinates", "one-coordinate", "four-coordinates",
         ],
     )
     def test_malformed_matches_or_points(self, tmp_path, read, text, line, message):
@@ -347,6 +350,10 @@ class TestFileFormats:
             assert path.read_bytes() == data
             back = parse_points(path).reshape(np.shape(pts))
             assert np.array_equal(back, pts) and np.array_equal(np.signbit(back), np.signbit(pts))
+        # any other shape is refused, unless it holds no point
+        for pts in ([1.0, 2.0], np.zeros((2, 1)), np.zeros((2, 4)), np.zeros((1, 2, 3))):
+            with pytest.raises(InvalidArgument, match=r"shaped \(n, 2\) or \(n, 3\)"):
+                emit_points(pts, path)
 
     def test_points_bad_coordinate(self, tmp_path):
         path = tmp_path / "pts.txt"
