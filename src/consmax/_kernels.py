@@ -1,5 +1,5 @@
 """Hot numeric kernels: graph geodesics, covering-LP simplex, greedy cover;
-and the index helpers ``segments``, ``incidence`` and ``distinct_rows``.
+and the index helpers ``segments`` and ``distinct_rows``.
 
 Each kernel has one numpy implementation. Callers look the kernels up as
 ``_kernels.dijkstra_table``, ``_kernels.packing_simplex`` and
@@ -64,13 +64,6 @@ def segments(starts, lens):
     """The positions ``starts[i] .. starts[i] + lens[i] - 1`` of each ``i``, back to back."""
     shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
     return shift + np.arange(len(shift))
-
-
-def incidence(owners, indices, n):
-    """The transpose of the pairs ``(owners[k], indices[k])``: ``indptr`` over ``n``
-    indices, and the owners of index ``i`` at ``indptr[i]:indptr[i + 1]`` in pair order."""
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n))))
-    return indptr, owners[np.argsort(indices, kind="stable")]
 
 
 def distinct_rows(rows):
@@ -207,8 +200,9 @@ def greedy_pick(num_vars, cons_indptr, cons_indices):
     constraints, the lowest among ties), without its redundant picks."""
     n_cons = len(cons_indptr) - 1
     # the variable -> constraint incidence; constraint ids ascend per variable
-    var_indptr, var_cons = incidence(np.repeat(np.arange(n_cons), np.diff(cons_indptr)), cons_indices, num_vars)
-    counts = np.diff(var_indptr)
+    counts = np.bincount(cons_indices, minlength=num_vars)
+    var_indptr = np.concatenate(([0], np.cumsum(counts)))
+    var_cons = np.repeat(np.arange(n_cons), np.diff(cons_indptr))[np.argsort(cons_indices, kind="stable")]
     picked = np.zeros(num_vars, dtype=np.int8)
     unsat = np.ones(n_cons, dtype=bool)
     remaining = n_cons

@@ -147,36 +147,35 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # built before the directory is made, so a rejected value leaves nothing
+    specs = [SynthSpec(kind="isometric-grid", n_points=args.n, outlier_ratio=ratio, seed=seed)
+             for ratio in args.ratios for seed in range(args.seeds)]
+    solver = _solver_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
     summary = []
-    for ratio in args.ratios:
-        for seed in range(args.seeds):
-            spec = SynthSpec(
-                kind="isometric-grid", n_points=args.n, outlier_ratio=ratio, seed=seed
+    for spec in specs:
+        ratio, seed = spec.outlier_ratio, spec.seed
+        source, target, matches = synth_isometric_instance(spec)
+        for mode in args.modes:
+            config = IsometryConfig(mode=mode, seed=seed, solver=solver)
+            labels, registration = shape_registration_detailed(source, target, matches, config)
+            name = f"report_r{int(round(100 * ratio)):03d}_s{seed}_{mode}.json"
+            report = _report(
+                mode, labels, registration,
+                {"command": "bench", "ratio": ratio, "seed": seed, "mode": mode, "n": args.n},
+                matches.gt_labels, args.timing, os.path.join(args.out_dir, name),
             )
-            source, target, matches = synth_isometric_instance(spec)
-            for mode in args.modes:
-                config = IsometryConfig(
-                    mode=mode, seed=seed, solver=_solver_config(args)
-                )
-                labels, registration = shape_registration_detailed(source, target, matches, config)
-                name = f"report_r{int(round(100 * ratio)):03d}_s{seed}_{mode}.json"
-                report = _report(
-                    mode, labels, registration,
-                    {"command": "bench", "ratio": ratio, "seed": seed, "mode": mode, "n": args.n},
-                    matches.gt_labels, args.timing, os.path.join(args.out_dir, name),
-                )
-                ev = report["eval"]
-                summary.append({
-                    "ratio": ratio,
-                    "seed": seed,
-                    "mode": mode,
-                    "precision": ev["precision"],
-                    "recall": ev["recall"],
-                    "outliers_removed": ev["outliers_removed"],
-                    "outliers_missed": ev["outliers_missed"],
-                    "optimal": report["solver"]["optimal"],
-                })
+            ev = report["eval"]
+            summary.append({
+                "ratio": ratio,
+                "seed": seed,
+                "mode": mode,
+                "precision": ev["precision"],
+                "recall": ev["recall"],
+                "outliers_removed": ev["outliers_removed"],
+                "outliers_missed": ev["outliers_missed"],
+                "optimal": report["solver"]["optimal"],
+            })
     cio.emit_report({"rows": summary}, os.path.join(args.out_dir, "summary.json"))
     sys.stdout.write(f"wrote {len(summary)} runs to {args.out_dir}\n")
     return EXIT_OK

@@ -16,10 +16,12 @@
   cover has ``sum(z[U]) >= h(U)``, the fewest members of ``U`` that hit
   every constraint inside ``U``. On the four-variable template programs the
   plain LP sits at ``p/4``, far below the optimum; the cuts close most of
-  that gap. The candidates come in two phases: first the sets of 5 or 6
-  members (of four-member constraints, only pairs sharing two or more
-  members give them), then the 7-member sets, built once a round finds
-  fewer than ``_CUTS_PER_ROUND`` violated candidates of the first phase.
+  that gap. The constraint pairs and their shared members come from one
+  product of the constraints' 0/1 incidence with itself. The candidates
+  come in two phases: first the sets of 5 or 6 members (of four-member
+  constraints, only pairs sharing two or more members give them), then the
+  7-member sets, built once a round finds fewer than ``_CUTS_PER_ROUND``
+  violated candidates of the first phase.
   Then Branch and Bound with best-first search on the LP lower
   bounds with the cuts, greedy-cover incumbents, branching on the variable
   hitting the most unsatisfied constraints, and a unit-gap optimality
@@ -49,13 +51,15 @@ _BRUTE_FORCE_LIMIT = 24
 _BRUTE_FORCE_CHUNK = 1 << 20
 # root cuts: sets of _MIN_CUT_SET to _MAX_CUT_SET matches, at most
 # _CUTS_PER_ROUND cuts a round over at most _CUT_ROUNDS rounds, candidates
-# enumerated from about _PAIR_CHUNK constraint pairs at a time
+# from constraint pairs found by products of about _BLOCK entries and
+# enumerated _PAIR_CHUNK pairs at a time
 _MIN_CUT_SET = 5
 _MAX_CUT_SET = 7
 _CUTS_PER_ROUND = 100
 _CUT_ROUNDS = 20
 _CUT_VIOLATION = 1e-6
-_PAIR_CHUNK = 2048
+_BLOCK = 1 << 16
+_PAIR_CHUNK = 1024
 
 
 # simplex feasibility/optimality tolerance; the certificate closes a gap
@@ -153,74 +157,64 @@ def _cut_candidates(program: CoveringProgram, fewest=_MIN_CUT_SET, most=_MAX_CUT
     hit every constraint inside ``U``. Every 0-1 cover has ``sum(z[U]) >=
     h(U)`` (a rank inequality of the set-covering polytope).
 
-    A pair that shares ``k`` members has ``|C| + |D| - k`` of them, so a
-    pair that shares one member fits only if ``C`` or ``D`` has at most
-    ``(most + 1) // 2`` members (is short). The pairs are listed at every
-    shared member where one of them is short, and otherwise at every
-    shared pair of members. So with ``most = 6`` (phase 1 of
-    ``_cut_rounds``) no pair of four-member constraints that share one
-    member is listed; with ``most = 7`` (phase 2, 7 members only, or the
-    whole table) all of them are.
+    The pairs come from one product. With ``inc`` the float32 0/1 incidence
+    of the ``n`` constraints of at most 7 members over the ``p`` variables,
+    ``inc @ inc.T`` holds ``|C & D|``, and ``U`` has ``|C| + |D| - |C & D|``
+    members. Its entries are sums of at most 7 ones, exact in any summation
+    order. The product is taken for blocks of ``C`` of about ``_BLOCK``
+    entries, against every ``D`` from the block's first on, and the pairs
+    with ``D`` after ``C`` that share a member and fit are taken
+    ``_PAIR_CHUNK`` at a time, each pair once. ``inc`` holds ``n * p``
+    entries, a term that grows with the variables as well as the
+    constraints.
 
     Returns ``(sets, h)``: the distinct sets, ascending rows padded with
     ``num_vars`` in the smallest unsigned dtype that holds it, in
     lexicographic order, and their ``h``. The constraints inside ``U`` are
     found by looking up each subset of ``U`` of a constraint's size, and
-    ``h(U)`` by brute force over the subsets of ``U``. The pairs are listed
-    about ``_PAIR_CHUNK`` at a time, so memory stays within one chunk's
-    pairs and the sets kept; a true ``stop()`` before a chunk ends the
-    pairs with the sets found so far.
+    ``h(U)`` by brute force over the subsets of ``U``. Memory stays within
+    one block, one chunk's sets and the sets kept; a true ``stop()`` before
+    a chunk ends the pairs with the sets found so far.
     """
     p = program.num_vars
     indptr, indices = program.cons_csr
-    m = len(indptr) - 1
     sizes = np.diff(indptr)
     dt = np.min_scalar_type(p)
-    # every constraint of at most 7 members as an ascending row padded with p
+    # the constraints of at most 7 members by position: their incidence, and
+    # their members as ascending rows padded with p (p may be below 7)
     small = sizes <= _MAX_CUT_SET
-    rows = np.full((m, _MAX_CUT_SET), p, dtype=dt)
-    owner = np.repeat(np.arange(m), sizes)
-    in_small = small[owner]
-    rows[owner[in_small], (np.arange(len(indices)) - indptr[owner])[in_small]] = indices[in_small]
-    rows.sort(axis=1)
-    small_ids = np.flatnonzero(small)
+    inc = np.zeros((len(sizes), p), dtype=np.float32)
+    inc[np.repeat(np.arange(len(sizes)), sizes), indices] = 1.0
+    inc, sizes = inc[small], sizes[small].astype(np.float32)  # float32, as the product
+    n = len(sizes)
+    rows = np.full((n, _MAX_CUT_SET), p, dtype=dt)
+    rows[:, :min(p, _MAX_CUT_SET)] = np.sort(np.where(inc > 0, np.arange(p, dtype=dt), p), axis=1)[:, :_MAX_CUT_SET]
     # a set's key is the wrapping sum of its members' weights, fixed random
     # 16-bit words, so that distinct sets rarely share a key; the constraints
     # are listed by key, count[k] of them from first_key[k], and a key match
     # is confirmed on the rows, so any weights give the same table
     weight = (np.random.default_rng(0).bit_generator.random_raw(p + 1) >> np.uint64(48)).astype(np.uint16)
     weight[p] = 0
-    keys = weight[rows[small_ids]].sum(axis=1, dtype=np.uint16)
-    order = np.argsort(keys, kind="stable")
-    key_rows = rows[small_ids[order]]
+    keys = weight[rows].sum(axis=1, dtype=np.uint16)
+    key_rows = rows[np.argsort(keys, kind="stable")]
     count = np.bincount(keys, minlength=1 << 16)
     first_key = np.cumsum(count) - count
-    # the pairs to list as runs: constraint run_c[k] with the constraints
-    # listed[run_start[k]:run_start[k] + run_n[k]]. At each member v of C,
-    # every constraint holding v if C is short, else the short ones (they
-    # come first at every variable)
-    short = sizes <= (most + 1) // 2
-    run_c, var = owner[in_small], indices[in_small]
-    first = np.argsort(~short[run_c], kind="stable")
-    var_indptr, listed = _kernels.incidence(run_c[first], var[first], p)
-    run_start = var_indptr[var]
-    run_n = np.where(short[run_c], var_indptr[var + 1] - run_start, np.bincount(var[short[run_c]], minlength=p)[var])
-    # then at each member pair a < b of a longer C, coded a * p + b, the
-    # longer constraints holding both
-    a, b = np.triu_indices(_MAX_CUT_SET, 1)
-    has_pair = (rows[:, b] != p) & ~short[:, None]
-    pair, pair_c = (rows[:, a].astype(np.int64) * p + rows[:, b])[has_pair], np.nonzero(has_pair)[0]
-    order = np.argsort(pair, kind="stable")
-    at = np.searchsorted(pair[order], pair)
-    run_c = np.concatenate((run_c, pair_c))
-    run_start = np.concatenate((run_start, len(listed) + at))
-    run_n = np.concatenate((run_n, np.searchsorted(pair[order], pair, side="right") - at))
-    listed = np.concatenate((listed, pair_c[order]))
-    # each C's runs together, cut into chunks that list about _PAIR_CHUNK pairs
-    order = np.argsort(run_c, kind="stable")
-    run_c, run_start, run_n = run_c[order], run_start[order], run_n[order]
-    chunk = (np.cumsum(run_n) - run_n) // _PAIR_CHUNK
-    bounds = np.append(np.flatnonzero(np.diff(chunk, prepend=-1)), len(run_n))
+
+    def pairs():
+        # the pairs (C, D), D after C, that share a member and fit, as
+        # columns, _PAIR_CHUNK at a time
+        step, listed = max(1, _BLOCK // max(n, 1)), np.zeros((2, 0), dtype=np.int64)
+        for lo in range(0, n, step):
+            shared = inc[lo:lo + step] @ inc[lo:].T
+            n_members = sizes[lo:lo + step, None] + sizes[lo:] - shared
+            fit = np.triu((shared > 0) & (n_members >= fewest) & (n_members <= most), 1)
+            listed = np.concatenate((listed, lo + np.array(np.nonzero(fit))), axis=1)
+            # a suspended generator keeps its locals: free the block first
+            del shared, n_members, fit
+            while listed.shape[1] >= _PAIR_CHUNK or (listed.size and lo + step >= n):
+                yield listed[:, :_PAIR_CHUNK]
+                listed = listed[:, _PAIR_CHUNK:]
+
     # subsets of a set's 7 slots as bit masks: size_of[s] is the size of mask
     # s and slots[s] its slots ascending, then slot 7 (padding); by_size lists
     # the masks t by size, and missed[i] is the bitmap (two 64-bit words) of
@@ -232,23 +226,16 @@ def _cut_candidates(program: CoveringProgram, fewest=_MIN_CUT_SET, most=_MAX_CUT
     by_size = np.argsort(size_of, kind="stable")
     missed = np.packbits((by_size[:, None] & all_masks) == 0, axis=1, bitorder="little").view("<u8")
     # the masks that can hold a constraint
-    masks = np.flatnonzero(np.isin(size_of, sizes[small_ids]))
-    kept_sets, kept_h = [np.zeros((0, _MAX_CUT_SET), dtype=dt)], [np.zeros(0, dtype=np.int64)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if stop():
-            break
-        # the chunk's pairs (C, D) with D > C, each once
-        c = np.repeat(run_c[lo:hi], run_n[lo:hi])
-        d = listed[_kernels.segments(run_start[lo:hi], run_n[lo:hi])]
-        code = np.sort((c * m + d)[d > c])
-        c, d = np.divmod(code[np.diff(code, prepend=-1) != 0], m)
-        # U = C | D as an ascending row, repeats and padding moved to the end
+    masks = np.flatnonzero(np.isin(size_of, sizes))
+
+    def hard_sets(c, d):
+        # the sets U = C | D of a chunk's pairs with h(U) >= 2, and their h
+        # (a function, so that the chunk's arrays are freed before the next
+        # block); U as an ascending row, repeats and padding moved to the end
         both = np.sort(np.concatenate((rows[c], rows[d]), axis=1), axis=1)
         both[:, 1:][both[:, 1:] == both[:, :-1]] = p
-        both.sort(axis=1)
-        n_members = (both != p).sum(axis=1)
-        fits = (n_members >= fewest) & (n_members <= most)
-        sets, n_members = both[fits, :_MAX_CUT_SET], n_members[fits]
+        sets = np.sort(both, axis=1)[:, :_MAX_CUT_SET]
+        n_members = (sets != p).sum(axis=1)
         # the keys of every subset of each set's slots, then those subsets of
         # a constraint's size, within the members, whose key some constraint has
         sub = np.zeros((len(sets), 1 << _MAX_CUT_SET), dtype=np.uint16)
@@ -268,9 +255,14 @@ def _cut_candidates(program: CoveringProgram, fewest=_MIN_CUT_SET, most=_MAX_CUT
         # others take the smallest t that hits every constraint inside
         words = np.packbits(inside, axis=1, bitorder="little").view("<u8")
         keep = np.flatnonzero(~_hits_all(words, missed[:1 + _MAX_CUT_SET]).any(axis=1))
-        kept_sets.append(sets[keep])
-        kept_h.append(size_of[by_size[np.argmax(_hits_all(words[keep], missed), axis=1)]].astype(np.int64))
-    sets, h = np.concatenate(kept_sets), np.concatenate(kept_h)
+        return sets[keep], size_of[by_size[np.argmax(_hits_all(words[keep], missed), axis=1)]].astype(np.int64)
+
+    kept = [(np.zeros((0, _MAX_CUT_SET), dtype=dt), np.zeros(0, dtype=np.int64))]
+    for c, d in pairs():
+        if stop():
+            break
+        kept.append(hard_sets(c, d))
+    sets, h = (np.concatenate(part) for part in zip(*kept))
     first = _kernels.distinct_rows(sets)
     return sets[first], h[first]
 

@@ -456,6 +456,19 @@ class TestBench:
         assert f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [(["--n", "3"], "need at least 4 points"), (["--time-budget", "0"], "budgets must be positive")],
+        ids=["--n", "--time-budget"],
+    )
+    def test_rejected_values_leave_no_out_dir(self, tmp_path, args, message, capsys):
+        # refused once parsed, before the directory is made
+        out = tmp_path / "bench"
+        code = run_cli(["bench", "--n", "36", "--seeds", "1", "--modes", "exact", "--out-dir", str(out), *args])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGoldenReports:
     """sha256 of default-flag reports, recorded before the per-cluster loop

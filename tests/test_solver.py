@@ -340,6 +340,10 @@ def mixed_cut_programs():
     return programs
 
 
+# the whole table, phase 1 and phase 2
+CUT_CALLS = (dict(), dict(most=6), dict(fewest=7))
+
+
 def cut_list(program, **sizes):
     sets, h = _cut_candidates(program, **sizes)
     return [(tuple(int(v) for v in row if v != program.num_vars), int(k)) for row, k in zip(sets, h)]
@@ -351,6 +355,8 @@ def check_phases(program):
     whole = ref_cut_candidates(program)
     phases = [(dict(most=6), ref_cut_candidates(program, 5, 6)), (dict(fewest=7), ref_cut_candidates(program, 7, 7))]
     for sizes, ref in [(dict(), whole), *phases]:
+        sets = _cut_candidates(program, **sizes)[0]
+        assert sets.shape[1:] == (7,) and sets.dtype == np.min_scalar_type(program.num_vars)
         got = cut_list(program, **sizes)
         assert dict(got) == ref, (sizes, program.constraints)
         assert len(dict(got)) == len(got)  # each set once
@@ -360,8 +366,14 @@ def check_phases(program):
 
 class TestCuts:
     def test_candidates_match_enumeration(self):
-        for program in cut_programs() + mixed_cut_programs():
+        # sets on fewer than 7 variables, then a program with no constraint
+        # a set can hold: empty tables
+        five = prog(5, (0, 1), (2, 3), (0, 2, 4), (1, 3, 4))
+        six = prog(6, (0, 1, 2, 3), (1, 2, 3, 4), (0, 2, 3, 4), (0, 1, 3, 4), (2, 3, 4, 5), (0, 1, 4, 5))
+        eight = prog(12, *(tuple(range(k, k + 8)) for k in range(5)))
+        for program in cut_programs() + mixed_cut_programs() + [five, six, eight]:
             check_phases(program)
+        assert [len(_cut_candidates(program)[1]) for program in (five, six, eight)] == [1, 1, 0]
 
     def test_candidates_past_255_variables(self):
         # uint16 rows, and a nine-member constraint that no set can hold
@@ -371,6 +383,22 @@ class TestCuts:
             for sizes in (dict(), dict(most=6), dict(fewest=7)):
                 assert _cut_candidates(wide, **sizes)[0].dtype == np.uint16
             check_phases(wide)
+
+    def test_table_does_not_depend_on_block_or_chunk_size(self, monkeypatch, tpl_bend_c4_programs):
+        # one-row blocks and one-pair chunks, then one block and one chunk
+        # for the whole program. The tpl-bend-c4 programs list some 10^5
+        # pairs, so with one-row blocks they take chunks of 97 pairs (a
+        # prime, so that chunks straddle blocks) in place of one-pair chunks
+        small, large = cut_programs() + mixed_cut_programs(), list(tpl_bend_c4_programs.values())
+        tables = [[_cut_candidates(program, **sizes) for sizes in CUT_CALLS] for program in small + large]
+        for block, chunks in ((1, [1] * len(small) + [97] * len(large)), (1 << 30, [1 << 30] * len(small + large))):
+            monkeypatch.setattr(solver, "_BLOCK", block)
+            for program, chunk, table in zip(small + large, chunks, tables):
+                monkeypatch.setattr(solver, "_PAIR_CHUNK", chunk)
+                for sizes, (sets, h) in zip(CUT_CALLS, table):
+                    got_sets, got_h = _cut_candidates(program, **sizes)
+                    assert got_sets.dtype == sets.dtype and np.array_equal(got_sets, sets), (block, sizes)
+                    assert got_h.dtype == h.dtype and np.array_equal(got_h, h), (block, sizes)
 
     def test_every_cover_satisfies_every_cut(self):
         for program in cut_programs():
