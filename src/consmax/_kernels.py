@@ -22,7 +22,8 @@ constraints, and the simplex's pivot choices:
   ``dist[v] <= fl(dist[p] + w) <= fl(D[p] + w) = D[v]``, by induction
   along the tree. So ``dist == D`` bit for bit, in any relaxation order.
 * ``greedy_pick`` updates the counts once per pick, not per newly covered
-  constraint: the same counts and picks. Its cover has no redundant picks.
+  constraint: the same counts and picks, by either pick rule. Its cover has
+  no redundant picks.
 * ``packing_simplex`` prices its columns with ``np.add.reduceat``, as the
   reference does, so every column must be non-empty (``reduceat`` gives an
   empty segment the element at its start).
@@ -195,9 +196,11 @@ def packing_simplex(n_rows, n_cols, col_indptr, col_indices, cost, tol, max_iter
 # Greedy cover (incumbent generator)
 # ---------------------------------------------------------------------------
 
-def greedy_pick(num_vars, cons_indptr, cons_indices):
-    """0/1 picks of the greedy cover (each pick the variable in the most unsatisfied
-    constraints, the lowest among ties), without its redundant picks."""
+def greedy_pick(num_vars, cons_indptr, cons_indices, order=None):
+    """0/1 picks of a greedy cover, without its redundant picks. Each pick is
+    the variable in the most unsatisfied constraints, the lowest among ties;
+    given ``order``, a permutation of the variables, it is instead the next
+    variable of ``order`` that is still in an unsatisfied constraint."""
     n_cons = len(cons_indptr) - 1
     # the variable -> constraint incidence; constraint ids ascend per variable
     counts = np.bincount(cons_indices, minlength=num_vars)
@@ -207,7 +210,7 @@ def greedy_pick(num_vars, cons_indptr, cons_indices):
     unsat = np.ones(n_cons, dtype=bool)
     remaining = n_cons
     while remaining > 0:
-        v = int(np.argmax(counts))
+        v = int(np.argmax(counts) if order is None else order[np.argmax(counts[order] > 0)])
         picked[v] = 1
         ls = var_cons[var_indptr[v]:var_indptr[v + 1]]
         ls = ls[unsat[ls]]

@@ -12,21 +12,19 @@
 * Otherwise: cut-and-branch. When the root LP does not certify the greedy
   incumbent, rounds of rank inequalities of the set-covering polytope
   (Balas & Ng 1989; Cornuejols & Sassano 1989) raise it: for a union ``U``
-  of two constraints that share a variable, with 5 to 7 members, every 0-1
+  of two constraints that share a variable, with 5 or 6 members, every 0-1
   cover has ``sum(z[U]) >= h(U)``, the fewest members of ``U`` that hit
   every constraint inside ``U``. On the four-variable template programs the
   plain LP sits at ``p/4``, far below the optimum; the cuts close most of
   that gap. The constraint pairs and their shared members come from one
-  product of the constraints' 0/1 incidence with itself. The candidates
-  come in two phases: first the sets of 5 or 6 members (of four-member
-  constraints, only pairs sharing two or more members give them), then the
-  7-member sets, built once a round finds fewer than ``_CUTS_PER_ROUND``
-  violated candidates of the first phase.
-  Then Branch and Bound with best-first search on the LP lower
-  bounds with the cuts, greedy-cover incumbents, branching on the variable
-  hitting the most unsatisfied constraints, and a unit-gap optimality
-  certificate (the objective is integral, so ``UB - LB < 1 - tol`` proves
-  optimality).
+  product of the constraints' 0/1 incidence with itself; of four-member
+  constraints, only pairs sharing two or more members give such sets. The
+  cut LP's solution orders a second greedy cover, the root incumbent when
+  it is smaller. Then Branch and Bound with best-first search on the LP
+  lower bounds with the cuts, greedy-cover incumbents, branching on the
+  variable hitting the most unsatisfied constraints, and a unit-gap
+  optimality certificate (the objective is integral, so ``UB - LB < 1 -
+  tol`` proves optimality).
 
 ``solve_relaxed`` solves the plain LP relaxation once and rounds at 0.5, on
 every program. The LP sub-solver lives in :mod:`consmax._kernels` (revised simplex
@@ -54,7 +52,7 @@ _BRUTE_FORCE_CHUNK = 1 << 20
 # from constraint pairs found by products of about _BLOCK entries and
 # enumerated _PAIR_CHUNK pairs at a time
 _MIN_CUT_SET = 5
-_MAX_CUT_SET = 7
+_MAX_CUT_SET = 6
 _CUTS_PER_ROUND = 100
 _CUT_ROUNDS = 20
 _CUT_VIOLATION = 1e-6
@@ -144,23 +142,18 @@ def _lp(n_rows: int, indptr, indices, rhs):
     return float(obj), z
 
 
-def _hits_all(words, missed):
-    """``[r, i]``: no mask in the bitmap ``words[r]`` is among ``missed[i]``,
-    the masks that some set ``t`` misses, so that ``t`` hits them all."""
-    return ((words[:, :1] & missed[:, 0]) | (words[:, 1:] & missed[:, 1])) == 0
-
-
-def _cut_candidates(program: CoveringProgram, fewest=_MIN_CUT_SET, most=_MAX_CUT_SET, stop=lambda: False):
+def _cut_candidates(program: CoveringProgram, stop=lambda: False):
     """The candidate cuts of a program: every set ``U = C | D`` of two
-    constraints that share a variable, with ``fewest`` to ``most`` members
-    and ``h(U) >= 2``, where ``h(U)`` is the fewest members of ``U`` that
-    hit every constraint inside ``U``. Every 0-1 cover has ``sum(z[U]) >=
-    h(U)`` (a rank inequality of the set-covering polytope).
+    constraints that share a variable, with ``_MIN_CUT_SET`` to
+    ``_MAX_CUT_SET`` (5 or 6) members and ``h(U) >= 2``, where ``h(U)`` is
+    the fewest members of ``U`` that hit every constraint inside ``U``.
+    Every 0-1 cover has ``sum(z[U]) >= h(U)`` (a rank inequality of the
+    set-covering polytope).
 
     The pairs come from one product. With ``inc`` the float32 0/1 incidence
-    of the ``n`` constraints of at most 7 members over the ``p`` variables,
+    of the ``n`` constraints of at most 6 members over the ``p`` variables,
     ``inc @ inc.T`` holds ``|C & D|``, and ``U`` has ``|C| + |D| - |C & D|``
-    members. Its entries are sums of at most 7 ones, exact in any summation
+    members. Its entries are sums of at most 6 ones, exact in any summation
     order. The product is taken for blocks of ``C`` of about ``_BLOCK``
     entries, against every ``D`` from the block's first on, and the pairs
     with ``D`` after ``C`` that share a member and fit are taken
@@ -172,16 +165,17 @@ def _cut_candidates(program: CoveringProgram, fewest=_MIN_CUT_SET, most=_MAX_CUT
     ``num_vars`` in the smallest unsigned dtype that holds it, in
     lexicographic order, and their ``h``. The constraints inside ``U`` are
     found by looking up each subset of ``U`` of a constraint's size, and
-    ``h(U)`` by brute force over the subsets of ``U``. Memory stays within
-    one block, one chunk's sets and the sets kept; a true ``stop()`` before
-    a chunk ends the pairs with the sets found so far.
+    ``h(U)`` by brute force over the 64 subsets of ``U``: the subsets that
+    are constraints make one 64-bit word per set. Memory stays within one
+    block, one chunk's sets and the sets kept; a true ``stop()`` before a
+    chunk ends the pairs with the sets found so far.
     """
     p = program.num_vars
     indptr, indices = program.cons_csr
     sizes = np.diff(indptr)
     dt = np.min_scalar_type(p)
-    # the constraints of at most 7 members by position: their incidence, and
-    # their members as ascending rows padded with p (p may be below 7)
+    # the constraints of at most 6 members by position: their incidence, and
+    # their members as ascending rows padded with p (p may be below 6)
     small = sizes <= _MAX_CUT_SET
     inc = np.zeros((len(sizes), p), dtype=np.float32)
     inc[np.repeat(np.arange(len(sizes)), sizes), indices] = 1.0
@@ -197,8 +191,8 @@ def _cut_candidates(program: CoveringProgram, fewest=_MIN_CUT_SET, most=_MAX_CUT
     weight[p] = 0
     keys = weight[rows].sum(axis=1, dtype=np.uint16)
     key_rows = rows[np.argsort(keys, kind="stable")]
-    count = np.bincount(keys, minlength=1 << 16)
-    first_key = np.cumsum(count) - count
+    count = np.bincount(keys, minlength=1 << 16).astype(np.int32)
+    first_key = np.cumsum(count, dtype=np.int32) - count
 
     def pairs():
         # the pairs (C, D), D after C, that share a member and fit, as
@@ -207,7 +201,7 @@ def _cut_candidates(program: CoveringProgram, fewest=_MIN_CUT_SET, most=_MAX_CUT
         for lo in range(0, n, step):
             shared = inc[lo:lo + step] @ inc[lo:].T
             n_members = sizes[lo:lo + step, None] + sizes[lo:] - shared
-            fit = np.triu((shared > 0) & (n_members >= fewest) & (n_members <= most), 1)
+            fit = np.triu((shared > 0) & (n_members >= _MIN_CUT_SET) & (n_members <= _MAX_CUT_SET), 1)
             listed = np.concatenate((listed, lo + np.array(np.nonzero(fit))), axis=1)
             # a suspended generator keeps its locals: free the block first
             del shared, n_members, fit
@@ -215,16 +209,16 @@ def _cut_candidates(program: CoveringProgram, fewest=_MIN_CUT_SET, most=_MAX_CUT
                 yield listed[:, :_PAIR_CHUNK]
                 listed = listed[:, _PAIR_CHUNK:]
 
-    # subsets of a set's 7 slots as bit masks: size_of[s] is the size of mask
-    # s and slots[s] its slots ascending, then slot 7 (padding); by_size lists
-    # the masks t by size, and missed[i] is the bitmap (two 64-bit words) of
+    # subsets of a set's 6 slots as bit masks: size_of[s] is the size of mask
+    # s and slots[s] its slots ascending, then slot 6 (padding); by_size lists
+    # the masks t by size, and missed[i] is the bitmap (one 64-bit word) of
     # the masks s that the i-th t misses (s & t == 0)
     all_masks = np.arange(1 << _MAX_CUT_SET)
     size_of = np.bitwise_count(all_masks)
     slot = np.arange(_MAX_CUT_SET)
     slots = np.sort(np.where(all_masks[:, None] >> slot & 1, slot, _MAX_CUT_SET))
     by_size = np.argsort(size_of, kind="stable")
-    missed = np.packbits((by_size[:, None] & all_masks) == 0, axis=1, bitorder="little").view("<u8")
+    missed = np.packbits((by_size[:, None] & all_masks) == 0, axis=1, bitorder="little").view("<u8")[:, 0]
     # the masks that can hold a constraint
     masks = np.flatnonzero(np.isin(size_of, sizes))
 
@@ -252,10 +246,12 @@ def _cut_candidates(program: CoveringProgram, fewest=_MIN_CUT_SET, most=_MAX_CUT
         inside = np.zeros((len(sets), 1 << _MAX_CUT_SET), dtype=bool)
         inside[row[q], masks[col[q]]] = True
         # most sets have a member in every constraint inside (h = 1); the
-        # others take the smallest t that hits every constraint inside
+        # others take the smallest t that hits every constraint inside: t
+        # hits them all when no mask of the word is among those t misses
         words = np.packbits(inside, axis=1, bitorder="little").view("<u8")
-        keep = np.flatnonzero(~_hits_all(words, missed[:1 + _MAX_CUT_SET]).any(axis=1))
-        return sets[keep], size_of[by_size[np.argmax(_hits_all(words[keep], missed), axis=1)]].astype(np.int64)
+        keep = np.flatnonzero(((words & missed[:1 + _MAX_CUT_SET]) != 0).all(axis=1))
+        hits_all = (words[keep] & missed) == 0
+        return sets[keep], size_of[by_size[np.argmax(hits_all, axis=1)]].astype(np.int64)
 
     kept = [(np.zeros((0, _MAX_CUT_SET), dtype=dt), np.zeros(0, dtype=np.int64))]
     for c, d in pairs():
@@ -268,47 +264,29 @@ def _cut_candidates(program: CoveringProgram, fewest=_MIN_CUT_SET, most=_MAX_CUT
 
 
 def _cut_rounds(program: CoveringProgram, rows, bound: float, z, upper: int, stop=lambda: False):
-    """Raise the root bound with cuts from ``_cut_candidates``, in two phases.
+    """Raise the root bound with cuts from the one table of
+    ``_cut_candidates``.
 
-    The rounds start from the table of the sets with 5 or 6 members (phase
-    1). The first round in which it offers fewer than ``_CUTS_PER_ROUND``
-    violated candidates not yet added builds the 7-member sets (phase 2),
-    and from then on the rounds pick from the whole table. Each round adds
-    up to ``_CUTS_PER_ROUND`` candidates not yet added that ``z`` violates by
-    more than ``_CUT_VIOLATION``, most violated first (a stable order over
-    the table's lexicographic rows), and solves the LP again. The rounds
-    stop when no candidate is violated, when the bound certifies ``upper``,
-    after ``_CUT_ROUNDS`` rounds, at an LP that does not converge, whose
-    round is dropped, or once ``stop()`` is true before a table or a round,
-    or while phase 2 is built. Returns the rows with the cuts, the bound
-    and its ``z``.
+    Each round adds up to ``_CUTS_PER_ROUND`` candidates not yet added that
+    ``z`` violates by more than ``_CUT_VIOLATION``, most violated first (a
+    stable order over the table's lexicographic rows), and solves the LP
+    again. The rounds stop when no candidate is violated, when the bound
+    certifies ``upper``, after ``_CUT_ROUNDS`` rounds, at an LP that does
+    not converge, whose round is dropped, or once ``stop()`` is true before
+    the table, one of its chunks or a round. A spent budget stays spent, so
+    a stop that ends the table early also stops the first round: no cut is
+    added. Returns the rows with the cuts, the bound and its ``z``.
     """
     if stop():
         return rows, bound, z
-    sets, h = _cut_candidates(program, most=_MAX_CUT_SET - 1, stop=stop)
+    sets, h = _cut_candidates(program, stop)
     p = program.num_vars
     added = np.zeros(len(h), dtype=bool)
-    whole = False
-
-    def offered():
-        violation = h - np.append(z, 0.0)[sets].sum(axis=1)
-        return violation, np.flatnonzero(~added & (violation > _CUT_VIOLATION))
-
     for _ in range(_CUT_ROUNDS):
         if upper - bound < 1.0 - LP_TOLERANCE or stop():
             break
-        violation, cand = offered()
-        if not whole and len(cand) < _CUTS_PER_ROUND:
-            more, more_h = _cut_candidates(program, fewest=_MAX_CUT_SET, stop=stop)
-            if stop():
-                break
-            # the phases hold sets of different sizes, so the merged table
-            # is the whole table, in its row order
-            order = _kernels.distinct_rows(np.concatenate((sets, more)))
-            sets, h = np.concatenate((sets, more))[order], np.concatenate((h, more_h))[order]
-            added = np.append(added, np.zeros(len(more_h), dtype=bool))[order]
-            whole = True
-            violation, cand = offered()
+        violation = h - np.append(z, 0.0)[sets].sum(axis=1)
+        cand = np.flatnonzero(~added & (violation > _CUT_VIOLATION))
         if len(cand) == 0:
             break
         pick = cand[np.argsort(-violation[cand], kind="stable")[:_CUTS_PER_ROUND]]
@@ -594,15 +572,16 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
 
     A root whose LP bound does not certify the greedy incumbent first runs
     ``_cut_rounds``, which add no cuts once ``_out_of_budget`` holds; the
-    cuts hold for every 0-1 cover, so they stay in every node's LP, and the
-    cut LP's solution rounded at 0.5 replaces the incumbent when it is a
-    cheaper cover. Then best-first on lower bounds; the branch variable is
-    the free variable in the most unsatisfied constraints (ties toward the
-    lowest index), with the z=1 child queued before the z=0 child. Node
-    bounds come from the residual LP relaxation; incumbents from greedy
-    covers of the residual constraints. A child whose LP does not converge
-    keeps its parent's bound, or its count of fixed outliers when that is
-    larger; a root LP that does not converge gives the bound 0 and no cuts.
+    cuts hold for every 0-1 cover, so they stay in every node's LP. A greedy
+    cover that picks in descending order of the cut LP's solution replaces
+    the incumbent when it is smaller. Then best-first on lower bounds; the
+    branch variable is the free variable in the most unsatisfied
+    constraints (ties toward the lowest index), with the z=1 child queued
+    before the z=0 child. Node bounds come from the residual LP relaxation;
+    incumbents from greedy covers of the residual constraints. A child whose
+    LP does not converge keeps its parent's bound, or its count of fixed
+    outliers when that is larger; a root LP that does not converge gives the
+    bound 0 and no cuts.
     """
     t0 = time.perf_counter()
     p = program.num_vars
@@ -638,9 +617,9 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
     upper = int(incumbent.sum())
     if z is not None and upper - root_lb >= 1.0 - LP_TOLERANCE:
         rows, root_lb, z = _cut_rounds(program, rows, root_lb, z, upper, lambda: _out_of_budget(config, 0, t0))
-        rounded = (z >= 0.5).astype(np.int8)
-        if rounded.sum() < upper and _uncovered(program, rounded) == 0:
-            incumbent, upper = rounded, int(rounded.sum())
+        ordered = _kernels.greedy_pick(p, *program.cons_csr, order=np.argsort(-z, kind="stable"))
+        if ordered.sum() < upper:
+            incumbent, upper = ordered, int(ordered.sum())
     global_lb = min(root_lb, float(upper))
     # the root row, then one row per expanded node
     trace = [TraceEntry(0, upper, global_lb, 1)]

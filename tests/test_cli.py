@@ -599,9 +599,10 @@ class TestGoldenFiles:
         assert {p.name: sha256(p) for p in tmp_path.glob("tr*")} == {
             "tr.c0.csv": "887d464d946922fb1fe270012f55bcb0e42262326e2dead146764879c7124355",
             "tr.c1.csv": "e6d23c1572f32a98c9b05878c1669402a3aa5447b09f750475737a01ba41bf0a",
-            # re-recorded when root cuts came in: the only cluster that
-            # branched (4 rows) now certifies at the root (2 rows)
-            "tr.c2.csv": "e74e72881aa241694f5f6a632c810def37cdbfb3578776bcc38412394cc2f924",
+            # the one cluster whose plain root LP does not certify: its root
+            # row has the bound 2.5, and the cut LP certifies it at the root
+            # (2 rows)
+            "tr.c2.csv": "f5f9241a2e652207b1b52f2d56b1a2d9244f32ec8178ae62c12ed2c1c5917c58",
             "tr.c3.csv": "245d3fb07f20fe6cdef058a385072f565a96cba72033e2762abaf6ede6a4bd2f",
         }
 

@@ -39,7 +39,7 @@ def ref_dijkstra_table(indptr, indices, weights, sources, n):
     return out
 
 
-def ref_greedy_pick(num_vars, cons_indptr, cons_indices):
+def ref_greedy_pick(num_vars, cons_indptr, cons_indices, order=None):
     cons = [cons_indices[cons_indptr[l]:cons_indptr[l + 1]] for l in range(len(cons_indptr) - 1)]
     var_cons = [[] for _ in range(num_vars)]
     for l, members in enumerate(cons):
@@ -50,7 +50,7 @@ def ref_greedy_pick(num_vars, cons_indptr, cons_indices):
     unsat = [True] * len(cons)
     remaining = len(cons)
     while remaining > 0:
-        v = int(np.argmax(counts))
+        v = int(np.argmax(counts)) if order is None else next(u for u in order if counts[u] > 0)
         picked[v] = 1
         for l in var_cons[v]:
             if unsat[l]:
@@ -208,6 +208,24 @@ class TestGreedyPick:
         program = random_program(rng, range(1, 7), p, int(rng.integers(1, 4 * p)))
         args = (p, *program.cons_csr)
         assert_same_bits(_kernels.greedy_pick(*args), ref_greedy_pick(*args))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_identical_ordered_picks(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        p = int(rng.integers(6, 60))
+        program = random_program(rng, range(1, 7), p, int(rng.integers(1, 4 * p)))
+        args, order = (p, *program.cons_csr), rng.permutation(p)
+        assert_same_bits(_kernels.greedy_pick(*args, order=order), ref_greedy_pick(*args, order=order))
+
+    def test_ordered_picks_skip_covered_variables(self):
+        # the order picks 1, skips 0, whose one constraint 1 covers, and
+        # picks 2
+        program = CoveringProgram.from_constraints(4, [(0, 1), (1, 2), (2, 3)])
+        picks = _kernels.greedy_pick(4, *program.cons_csr, order=np.array([1, 0, 2, 3]))
+        assert picks.tolist() == [0, 1, 1, 0]
+        # it picks 0, 3 and 1, and the redundant-pick pass drops 0
+        picks = _kernels.greedy_pick(4, *program.cons_csr, order=np.array([0, 3, 1, 2]))
+        assert picks.tolist() == [0, 1, 0, 1]
 
     def test_redundant_pick_dropped(self):
         # greedy picks 0 first, then 1 and 2, which cover both of 0's

@@ -279,7 +279,7 @@ class TestSolveExact:
         check_feasible(program, res.labels)
 
 
-def ref_cut_candidates(program, fewest=5, most=7):
+def ref_cut_candidates(program, fewest, most):
     """``{U: h(U)}`` over every union ``U`` of two constraints sharing a
     variable with ``fewest`` to ``most`` members and ``h(U) >= 2``, by plain
     enumeration of every pair: ``h(U)`` is the size of the smallest subset
@@ -328,8 +328,8 @@ def cut_programs():
 
 def mixed_cut_programs():
     """Ten seeded programs of 9 to 12 variables with constraints of 1 to 7
-    members, so that pairs of five- and six-member constraints reach the
-    sets through their shared member pairs in both phases."""
+    members, so that five- and six-member constraints make sets and the
+    seven-member ones, which no set can hold, are left out."""
     rng = np.random.default_rng(2028)
     programs = []
     for _ in range(10):
@@ -340,49 +340,41 @@ def mixed_cut_programs():
     return programs
 
 
-# the whole table, phase 1 and phase 2
-CUT_CALLS = (dict(), dict(most=6), dict(fewest=7))
-
-
-def cut_list(program, **sizes):
-    sets, h = _cut_candidates(program, **sizes)
+def cut_list(program):
+    sets, h = _cut_candidates(program)
     return [(tuple(int(v) for v in row if v != program.num_vars), int(k)) for row, k in zip(sets, h)]
 
 
-def check_phases(program):
-    """Each phase's table, and the whole table, against the enumeration
-    restricted to its set sizes; the two phases make up the whole table."""
-    whole = ref_cut_candidates(program)
-    phases = [(dict(most=6), ref_cut_candidates(program, 5, 6)), (dict(fewest=7), ref_cut_candidates(program, 7, 7))]
-    for sizes, ref in [(dict(), whole), *phases]:
-        sets = _cut_candidates(program, **sizes)[0]
-        assert sets.shape[1:] == (7,) and sets.dtype == np.min_scalar_type(program.num_vars)
-        got = cut_list(program, **sizes)
-        assert dict(got) == ref, (sizes, program.constraints)
-        assert len(dict(got)) == len(got)  # each set once
-        assert got == sorted(got, key=lambda row: row[0] + (program.num_vars,) * (7 - len(row[0])))
-    assert phases[0][1] | phases[1][1] == whole
+def check_table(program):
+    """The table against the enumeration of the sets of 5 or 6 members: 6
+    columns in the smallest unsigned dtype that holds ``num_vars``, each set
+    once, in lexicographic order of the padded rows."""
+    sets = _cut_candidates(program)[0]
+    assert sets.shape[1:] == (6,) and sets.dtype == np.min_scalar_type(program.num_vars)
+    got = cut_list(program)
+    assert dict(got) == ref_cut_candidates(program, 5, 6), program.constraints
+    assert len(dict(got)) == len(got)  # each set once
+    assert got == sorted(got, key=lambda row: row[0] + (program.num_vars,) * (6 - len(row[0])))
 
 
 class TestCuts:
     def test_candidates_match_enumeration(self):
-        # sets on fewer than 7 variables, then a program with no constraint
-        # a set can hold: empty tables
+        # sets on fewer than 6 variables and on exactly 6, then a program
+        # with no constraint a set can hold: an empty table
         five = prog(5, (0, 1), (2, 3), (0, 2, 4), (1, 3, 4))
         six = prog(6, (0, 1, 2, 3), (1, 2, 3, 4), (0, 2, 3, 4), (0, 1, 3, 4), (2, 3, 4, 5), (0, 1, 4, 5))
-        eight = prog(12, *(tuple(range(k, k + 8)) for k in range(5)))
-        for program in cut_programs() + mixed_cut_programs() + [five, six, eight]:
-            check_phases(program)
-        assert [len(_cut_candidates(program)[1]) for program in (five, six, eight)] == [1, 1, 0]
+        seven = prog(12, *(tuple(range(k, k + 7)) for k in range(5)))
+        for program in cut_programs() + mixed_cut_programs() + [five, six, seven]:
+            check_table(program)
+        assert [len(_cut_candidates(program)[1]) for program in (five, six, seven)] == [1, 1, 0]
 
     def test_candidates_past_255_variables(self):
         # uint16 rows, and a nine-member constraint that no set can hold
         for program in cut_programs()[:10]:
             shifted = [tuple(v + 290 for v in c) for c in program.constraints]
             wide = prog(program.num_vars + 290, tuple(range(285, 294)), *shifted)
-            for sizes in (dict(), dict(most=6), dict(fewest=7)):
-                assert _cut_candidates(wide, **sizes)[0].dtype == np.uint16
-            check_phases(wide)
+            assert _cut_candidates(wide)[0].dtype == np.uint16
+            check_table(wide)
 
     def test_table_does_not_depend_on_block_or_chunk_size(self, monkeypatch, tpl_bend_c4_programs):
         # one-row blocks and one-pair chunks, then one block and one chunk
@@ -390,15 +382,14 @@ class TestCuts:
         # pairs, so with one-row blocks they take chunks of 97 pairs (a
         # prime, so that chunks straddle blocks) in place of one-pair chunks
         small, large = cut_programs() + mixed_cut_programs(), list(tpl_bend_c4_programs.values())
-        tables = [[_cut_candidates(program, **sizes) for sizes in CUT_CALLS] for program in small + large]
+        tables = [_cut_candidates(program) for program in small + large]
         for block, chunks in ((1, [1] * len(small) + [97] * len(large)), (1 << 30, [1 << 30] * len(small + large))):
             monkeypatch.setattr(solver, "_BLOCK", block)
-            for program, chunk, table in zip(small + large, chunks, tables):
+            for program, chunk, (sets, h) in zip(small + large, chunks, tables):
                 monkeypatch.setattr(solver, "_PAIR_CHUNK", chunk)
-                for sizes, (sets, h) in zip(CUT_CALLS, table):
-                    got_sets, got_h = _cut_candidates(program, **sizes)
-                    assert got_sets.dtype == sets.dtype and np.array_equal(got_sets, sets), (block, sizes)
-                    assert got_h.dtype == h.dtype and np.array_equal(got_h, h), (block, sizes)
+                got_sets, got_h = _cut_candidates(program)
+                assert got_sets.dtype == sets.dtype and np.array_equal(got_sets, sets), block
+                assert got_h.dtype == h.dtype and np.array_equal(got_h, h), block
 
     def test_every_cover_satisfies_every_cut(self):
         for program in cut_programs():
@@ -444,34 +435,48 @@ class TestCuts:
         assert residual(zeros=[1, 2, 3]) is None
 
 
+def template_programs(outlier_ratio, edges_per_point_cap, clusters, which):
+    """``{c: (program, ground-truth labels)}`` for the clusters ``which`` of
+    the 225-match template-bend instance of seed 2 (tpl-bend-c4's, and
+    criterion 7's with one cluster)."""
+    spec = SynthSpec(kind="template-bend", n_points=225, outlier_ratio=outlier_ratio, seed=2, bend_radius=2.0)
+    template, image, K, matches = synth_template_instance(spec)
+    cfg = TemplateMatchConfig(edges_per_point_cap=edges_per_point_cap, clusters=clusters)
+    mt, mi = template[matches.pairs[:, 0]], image[matches.pairs[:, 1]]
+    partition = kmeans_partition(mt, cfg.clusters, cfg.seed)
+    return {
+        c: (build_covering_program(build_triangle_graph(mt[idx], mi[idx], K, cfg)), matches.gt_labels.z[idx])
+        for c, idx in ((c, partition.members(c)) for c in which)
+    }
+
+
 @pytest.fixture(scope="module")
 def tpl_bend_c4_programs():
     """The programs of the tpl-bend-c4 benchmark's clusters 0 and 3, the two
     whose root LP does not certify the greedy cover."""
-    spec = SynthSpec(kind="template-bend", n_points=225, outlier_ratio=0.3, seed=2, bend_radius=2.0)
-    template, image, K, matches = synth_template_instance(spec)
-    cfg = TemplateMatchConfig(edges_per_point_cap=100, clusters=4)
-    mt, mi = template[matches.pairs[:, 0]], image[matches.pairs[:, 1]]
-    partition = kmeans_partition(mt, cfg.clusters, cfg.seed)
-    return {
-        c: build_covering_program(build_triangle_graph(mt[idx], mi[idx], K, cfg))
-        for c, idx in ((c, partition.members(c)) for c in (0, 3))
-    }
+    return {c: program for c, (program, _) in template_programs(0.3, 100, 4, (0, 3)).items()}
 
 
-class TestCutPhases:
+@pytest.fixture(scope="module")
+def criterion_7_program():
+    """Criterion 7's instance as one cluster (225 variables) and its ground
+    truth, the unique optimum of 68 outliers."""
+    return template_programs(0.3, 100, 1, (0,))[0]
+
+
+class TestCutRounds:
     @staticmethod
     def record(monkeypatch):
-        """Wrap the table and the LP. Returns the event list: ``[fewest,
-        most, sets found]`` per table, from the moment it starts (sets found
-        None until it returns), and ``"lp"`` per LP."""
+        """Wrap the table and the LP. Returns the event list: a list per
+        table, from the moment it starts, that holds the number of sets
+        found once it returns, and ``"lp"`` per LP."""
         events = []
 
-        def table(program, **sizes):
-            event = [sizes.get("fewest", 5), sizes.get("most", 7), None]
+        def table(program, stop):
+            event = []
             events.append(event)
-            sets, h = _cut_candidates(program, **sizes)
-            event[2] = len(h)
+            sets, h = _cut_candidates(program, stop)
+            event.append(len(h))
             return sets, h
 
         def lp(*args):
@@ -482,59 +487,125 @@ class TestCutPhases:
         monkeypatch.setattr(solver, "_lp", lp)
         return events
 
-    def test_cluster_0_certifies_without_phase_2(self, monkeypatch, tpl_bend_c4_programs):
+    def test_cluster_0_certifies_at_the_root(self, monkeypatch, tpl_bend_c4_programs):
         events = self.record(monkeypatch)
         res = solve_exact(tpl_bend_c4_programs[0])
         assert res.optimal and res.objective == 21
         assert len(res.trace) == 2  # the root row and the final row
-        assert [e[:2] for e in events if e != "lp"] == [[5, 6]]
+        assert [e for e in events if e != "lp"] == [[809]]  # one table
 
-    def test_small_programs_build_phase_2_before_the_first_round(self, monkeypatch):
-        # phase 1 offers fewer than _CUTS_PER_ROUND candidates at once
-        rounds = 0
-        for program in cut_programs():
-            rows = (*program.cons_csr, np.ones(program.num_constraints, dtype=np.int64))
-            plain, z = _lp(program.num_vars, *rows)
-            events = self.record(monkeypatch)
-            _cut_rounds(program, rows, plain, z, program.num_vars + 1)
-            if "lp" in events:
-                assert [e if e == "lp" else e[:2] for e in events[:3]] == [[5, 6], [7, 7], "lp"]
-                rounds += 1
-        assert rounds >= 5
-
-    def test_stop_after_phase_1(self, monkeypatch, tpl_bend_c4_programs):
-        # cluster 3 runs phase-1 rounds, then builds phase 2. A stop that
-        # turns true before phase 2, at its first chunk or after that chunk
-        # returns phase 1's rows, bound and z
+    def test_stop_during_the_table_or_after_a_round(self, monkeypatch, tpl_bend_c4_programs):
+        # cluster 3's table takes several chunks, then its rounds run until
+        # none is violated
         program = tpl_bend_c4_programs[3]
         rows = (*program.cons_csr, np.ones(program.num_constraints, dtype=np.int64))
         plain, z = _lp(program.num_vars, *rows)
         upper = program.num_vars + 1
         events = self.record(monkeypatch)
-        _cut_rounds(program, rows, plain, z, upper)
-        phase_2 = next(e for e in events if e != "lp" and e[0] == 7)
-        k = events[:events.index(phase_2)].count("lp")
-        assert k >= 1 and phase_2[2] > 0
+        checks = []
 
-        events = self.record(monkeypatch)
-        first = _cut_rounds(program, rows, plain, z, upper, lambda: events.count("lp") >= k)
-        assert events.count("lp") == k and [e[:2] for e in events if e != "lp"] == [[5, 6]]
-        assert first[1] > plain
-        for turn in (1, 2):
-            events = self.record(monkeypatch)
-            checks = []
+        def counted():
+            checks.append(events.count("lp"))
+            return False
+
+        full = _cut_rounds(program, rows, plain, z, upper, counted)
+        n_sets, rounds = events[0][0], events.count("lp")
+        # the check before the table, one per chunk, then one per round
+        chunks = checks.count(0) - 2
+        assert chunks >= 3 and rounds >= 3 and full[1] > plain
+
+        def true_from(n):
+            # true from the n-th check on, as a spent budget
+            calls = []
 
             def stop():
-                # true from the turn-th check once phase 2 has started
-                checks.extend([1] if [7, 7] in [e[:2] for e in events if e != "lp"] else [])
-                return len(checks) >= turn
+                calls.append(1)
+                return len(calls) >= n
 
-            again = _cut_rounds(program, rows, plain, z, upper, stop)
-            found = [e[2] for e in events if e != "lp" and e[0] == 7]
-            assert events.count("lp") == k and len(found) == 1
-            assert found[0] == 0 if turn == 1 else 0 < found[0] < phase_2[2]
-            assert all(np.array_equal(a, b) for a, b in zip(again[0], first[0]))
-            assert again[1] == first[1] and np.array_equal(again[2], first[2])
+            return stop
+
+        # a stop at the table's first chunk (the second check), at a later
+        # chunk or at its last: no round, and the input rows, bound and z
+        for chunk in (1, 2, chunks):
+            events = self.record(monkeypatch)
+            stopped = _cut_rounds(program, rows, plain, z, upper, true_from(1 + chunk))
+            assert len(events) == 1 and events[0][0] <= n_sets
+            assert chunk > 1 or events[0][0] == 0
+            assert stopped[0] is rows and stopped[1] == plain and stopped[2] is z
+        # a stop after round k gives the result of k rounds
+        cap = solver._CUT_ROUNDS
+        for k in (1, 2, rounds - 1):
+            monkeypatch.setattr(solver, "_CUT_ROUNDS", cap)
+            events = self.record(monkeypatch)
+            got = _cut_rounds(program, rows, plain, z, upper, lambda: events.count("lp") >= k)
+            assert events.count("lp") == k
+            monkeypatch.setattr(solver, "_CUT_ROUNDS", k)
+            want = _cut_rounds(program, rows, plain, z, upper)
+            assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+            assert got[1] == want[1] and np.array_equal(got[2], want[2])
+            assert len(got[0][2]) > program.num_constraints
+
+
+def irredundant_cover(program, z):
+    """Every constraint has a member marked outlier, and every marked one is
+    the only marked member of some constraint."""
+    hits = [int(z[list(c)].sum()) for c in program.constraints]
+    alone = {c[int(np.argmax(z[list(c)]))] for c, k in zip(program.constraints, hits) if k == 1}
+    return min(hits, default=1) >= 1 and alone == set(np.flatnonzero(z).tolist())
+
+
+class TestRootIncumbent:
+    @staticmethod
+    def record(monkeypatch):
+        """Wrap ``greedy_pick``. Returns the list of the covers it picks in
+        a given order, the root's cover in cut-LP order."""
+        real, ordered = _kernels.greedy_pick, []
+
+        def pick(*args, order=None):
+            picks = real(*args, order=order)
+            if order is not None:
+                ordered.append(picks)
+            return picks
+
+        monkeypatch.setattr(_kernels, "greedy_pick", pick)
+        return ordered
+
+    def test_ordered_cover_is_irredundant_and_never_worse(self, monkeypatch, tpl_bend_c4_programs):
+        # criterion 7's program is checked in the next test
+        ordered = self.record(monkeypatch)
+        reached = 0
+        for program in cut_programs() + pinned_lp_bnb_programs() + list(tpl_bend_c4_programs.values()):
+            ordered.clear()
+            res = _solve_lp_bnb(program)
+            greedy = _kernels.greedy_pick(program.num_vars, *program.cons_csr)
+            assert irredundant_cover(program, greedy)
+            if not ordered:  # the root LP certified greedy's cover
+                assert res.trace[0].upper_bound == greedy.sum()
+                continue
+            reached += 1
+            assert len(ordered) == 1 and irredundant_cover(program, ordered[0]), program.constraints
+            assert res.trace[0].upper_bound == min(greedy.sum(), ordered[0].sum())
+        assert reached >= 20
+
+    def test_criterion_7_incumbent_is_the_ground_truth(self, monkeypatch, criterion_7_program):
+        # the ordered cover is the unique optimum, and the cut LP certifies
+        # it at the root, well within criterion 7's CI node budget of 5
+        program, truth = criterion_7_program
+        ordered = self.record(monkeypatch)
+        res = _solve_lp_bnb(program, SolverConfig(node_budget=5))
+        assert len(ordered) == 1 and np.array_equal(ordered[0], truth) and truth.sum() == 68
+        assert irredundant_cover(program, truth)
+        assert res.trace[0].upper_bound == 68 <= _kernels.greedy_pick(225, *program.cons_csr).sum()
+        assert res.optimal and res.objective == 68 and len(res.trace) == 2
+        assert np.array_equal(res.labels.z, truth)
+
+    def test_uncapped_50_percent_cluster_certifies_at_the_root(self):
+        # every triangle pair becomes an edge; the ordered cover is the
+        # ground truth, and the cut LP certifies it
+        program, truth = template_programs(0.5, 100_000, 4, (2,))[2]
+        res = solve_exact(program)
+        assert res.optimal and res.objective == 27 and len(res.trace) == 2
+        assert np.array_equal(res.labels.z, truth)
 
 
 def random_pair_program(rng, min_vars, max_vars, pairs_per_var):
@@ -667,7 +738,7 @@ class TestLpBnbPinned:
     # the same for a node_budget=2 stop on the last program. It pins node
     # order, bounds and incumbents; re-record it only for a deliberate change
     # of the search.
-    DIGEST = "1b54de520ba38acf9a1ebd9c587567f95782f04088ebc56407a5e9b2bd44a566"
+    DIGEST = "3e48b883b60d8b9df937e2a4af693c89b1ce07d49a438411303151776658ccad"
 
     def test_results_unchanged(self):
         programs = pinned_lp_bnb_programs()

@@ -324,8 +324,9 @@ class TestTemplatePipeline:
 
     def test_criterion_7_one_cluster_certifies_at_the_root(self):
         # one 225-variable program of 2989 constraints: the root LP is 56.25,
-        # the cut LP 68, and its rounding a 68-outlier cover; the node budget
-        # makes a solve that needed branching stop deterministically
+        # the cut LP 67.48, and the cover in cut-LP order has 68 outliers;
+        # the node budget makes a solve that needed branching stop
+        # deterministically
         template, image, K, matches = bent_instance(ratio=0.3, seed=2, n=225)
         cfg = TemplateMatchConfig(edges_per_point_cap=100, clusters=1, solver=SolverConfig(node_budget=5))
         labels, diag = template_image_registration(template, image, matches, K, cfg)
