@@ -24,7 +24,8 @@
   lower bounds with the cuts, greedy-cover incumbents, branching on the
   variable hitting the most unsatisfied constraints, and a unit-gap
   optimality certificate (the objective is integral, so ``UB - LB < 1 -
-  tol`` proves optimality).
+  tol`` proves optimality). One node routine serves the root and the tree:
+  the root is the first node it visits, and the only one that separates.
 
 ``solve_relaxed`` solves the plain LP relaxation once and rounds at 0.5, on
 every program. The LP sub-solver lives in :mod:`consmax._kernels` (revised simplex
@@ -349,7 +350,9 @@ def _uncovered(program: CoveringProgram, z) -> int:
 
 def _out_of_budget(config: SolverConfig, expanded: int, t0: float) -> bool:
     """The stop rule of both searches: ``expanded`` nodes, the root included,
-    use up ``node_budget``, or the search runs past ``time_budget``."""
+    use up ``node_budget``, or the search runs past ``time_budget``. The
+    LP search checks its root's cut work at a count of 0 nodes, so only
+    ``time_budget`` stops that work."""
     return expanded >= config.node_budget or time.perf_counter() - t0 > config.time_budget
 
 
@@ -570,28 +573,38 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
     """Branch and Bound on LP lower bounds, for programs with constraints of
     any size.
 
-    A root whose LP bound does not certify the greedy incumbent first runs
+    One routine, ``visit``, handles every node, the root included: the
+    residual of the node's fixed variables, a greedy cover of the residual
+    constraints, the branch variable (the free variable in the most
+    unsatisfied constraints, ties toward the lowest index) and the residual
+    LP bound. The root, the node with nothing fixed, is the one node that
+    separates: when its LP bound does not certify its greedy cover, it runs
     ``_cut_rounds``, which add no cuts once ``_out_of_budget`` holds; the
-    cuts hold for every 0-1 cover, so they stay in every node's LP. A greedy
-    cover that picks in descending order of the cut LP's solution replaces
-    the incumbent when it is smaller. Then best-first on lower bounds; the
-    branch variable is the free variable in the most unsatisfied
-    constraints (ties toward the lowest index), with the z=1 child queued
-    before the z=0 child. Node bounds come from the residual LP relaxation;
-    incumbents from greedy covers of the residual constraints. A child whose
-    LP does not converge keeps its parent's bound, or its count of fixed
+    cuts hold for every 0-1 cover, so they stay in every later node's LP,
+    and a greedy cover that picks in descending order of the cut LP's
+    solution replaces the root's cover when it is smaller. A node's cover
+    becomes the incumbent when smaller, and the node is queued unless its
+    bound certifies the incumbent. Then best-first on lower bounds: each
+    popped node visits its z=1 child, then its z=0 child. A child whose LP
+    does not converge keeps its parent's bound, or its count of fixed
     outliers when that is larger; a root LP that does not converge gives the
     bound 0 and no cuts.
     """
     t0 = time.perf_counter()
     p = program.num_vars
     n_cons = program.num_constraints
+    # the constraints (rhs 1), then any cuts
+    rows = (*program.cons_csr, np.ones(n_cons, dtype=np.int64))
+    # heap entries: (bound, insertion counter, fixed outliers, fixed inliers, branch variable)
+    heap, counter = [], 0
+    incumbent, upper = None, p + 1
 
-    def evaluate(ones_t, zeros_t):
-        # one residual per node: None when infeasible, else the fixed outliers plus a greedy
-        # cover, the residual LP's bound and solution (0.0 and None when it stops without an
-        # optimum: a bad LP weakens a bound, never aborts the solve), and the branch variable,
-        # the free one in the most residual constraints (cuts not counted; None if none is left)
+    def visit(bound, ones_t, zeros_t):
+        # one residual per node (None when infeasible), then its greedy cover, its branch
+        # variable (cuts not counted; None if no constraint is left) and its LP (0.0 and no z
+        # when it stops without an optimum: a bad LP weakens a bound, never aborts the solve);
+        # returns the node's bound
+        nonlocal rows, incumbent, upper, counter
         ones_mask, zeros_mask = np.zeros((2, p), dtype=bool)
         ones_mask[list(ones_t)] = zeros_mask[list(zeros_t)] = True
         res = _residual(rows, n_cons, ones_mask, zeros_mask)
@@ -606,27 +619,31 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
             z[free_ids[picks == 1]] = OUTLIER
             branch_var = int(free_ids[np.argmax(np.bincount(cons, minlength=len(free_ids)))])
         try:
-            bound, lp_z = _lp(len(free_ids), indptr, indices, rhs)
+            lp_bound, lp_z = _lp(len(free_ids), indptr, indices, rhs)
         except LpNotConverged:
-            bound, lp_z = 0.0, None
-        return z, bound, lp_z, branch_var
+            lp_bound, lp_z = 0.0, None
+        # the root separates when its LP does not certify its cover; the cuts
+        # stay in every later node's rows
+        if not ones_t + zeros_t and lp_z is not None and z.sum() - lp_bound >= 1.0 - LP_TOLERANCE:
+            rows, lp_bound, lp_z = _cut_rounds(program, rows, lp_bound, lp_z, int(z.sum()),
+                                               lambda: _out_of_budget(config, 0, t0))
+            ordered = _kernels.greedy_pick(p, *program.cons_csr, order=np.argsort(-lp_z, kind="stable"))
+            if ordered.sum() < z.sum():
+                z = ordered
+        if z.sum() < upper:
+            incumbent, upper = z, int(z.sum())
+        # a node without constraints is a leaf: its greedy cover is exact, and
+        # its bound of len(ones_t) keeps it off the queue
+        node_bound = max(bound, len(ones_t) + lp_bound)
+        if node_bound < upper - 1.0 + LP_TOLERANCE:
+            heapq.heappush(heap, (node_bound, counter, ones_t, zeros_t, branch_var))
+            counter += 1
+        return node_bound
 
-    # the constraints (rhs 1), then any cuts
-    rows = (*program.cons_csr, np.ones(n_cons, dtype=np.int64))
-    incumbent, root_lb, z, root_var = evaluate((), ())
-    upper = int(incumbent.sum())
-    if z is not None and upper - root_lb >= 1.0 - LP_TOLERANCE:
-        rows, root_lb, z = _cut_rounds(program, rows, root_lb, z, upper, lambda: _out_of_budget(config, 0, t0))
-        ordered = _kernels.greedy_pick(p, *program.cons_csr, order=np.argsort(-z, kind="stable"))
-        if ordered.sum() < upper:
-            incumbent, upper = ordered, int(ordered.sum())
+    root_lb = visit(0.0, (), ())
     global_lb = min(root_lb, float(upper))
     # the root row, then one row per expanded node
     trace = [TraceEntry(0, upper, global_lb, 1)]
-
-    # heap entries: (bound, insertion counter, fixed outliers, fixed inliers, branch variable)
-    heap = [(root_lb, 0, (), (), root_var)]
-    counter = 1
     while heap:
         bound, _, ones_t, zeros_t, branch_var = heap[0]
         global_lb = max(global_lb, min(bound, float(upper)))
@@ -635,20 +652,10 @@ def _solve_lp_bnb(program: CoveringProgram, config: SolverConfig = SolverConfig(
         if optimal or _out_of_budget(config, len(trace) - 1, t0):
             break
         heapq.heappop(heap)
-        # queued nodes keep some constraint, so they have a branch variable
-        for c_ones, c_zeros in ((ones_t + (branch_var,), zeros_t), (ones_t, zeros_t + (branch_var,))):
-            child = evaluate(c_ones, c_zeros)
-            if child is None:
-                continue
-            # a child without constraints is a leaf: its greedy cover is
-            # exact, and its bound of len(c_ones) keeps it off the queue
-            z, child_lb, _, child_var = child
-            if z.sum() < upper:
-                incumbent, upper = z, int(z.sum())
-            child_bound = max(bound, len(c_ones) + child_lb)
-            if child_bound < upper - 1.0 + LP_TOLERANCE:
-                heapq.heappush(heap, (child_bound, counter, c_ones, c_zeros, child_var))
-                counter += 1
+        # queued nodes keep some constraint, so they have a branch variable:
+        # the z=1 child, then the z=0 child
+        visit(bound, ones_t + (branch_var,), zeros_t)
+        visit(bound, ones_t, zeros_t + (branch_var,))
         trace.append(TraceEntry(len(trace), upper, global_lb, len(heap)))
     else:
         optimal = True  # queue exhausted: incumbent proven optimal

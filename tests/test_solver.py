@@ -249,20 +249,28 @@ class TestSolveExact:
         assert res.objective >= 6
         check_feasible(program, res.labels)
 
-    def test_failed_node_lp_does_not_abort(self, monkeypatch):
+    @pytest.mark.parametrize("root_fails", [False, True], ids=["tree-lps-fail", "root-lp-fails"])
+    def test_failed_node_lp_does_not_abort(self, monkeypatch, root_fails):
         # every LP after the root stops at its iteration cap: the first cut
         # round's LP (root gap 1.5; {0, 1, 2, 3, 4} has h = 3) ends the cut
         # rounds, the nodes keep their parent's bound and the search still
-        # certifies
+        # certifies. Or only the root LP stops: the root bound is 0 and no
+        # cut table is built
         real = _kernels.packing_simplex
         calls = []
 
         def flaky(n_rows, n_cols, indptr, indices, cost, tol, max_iter):
             calls.append(n_cols)
             status, obj, z, it = real(n_rows, n_cols, indptr, indices, cost, tol, max_iter)
-            return (status if len(calls) == 1 else _kernels.LP_ITERATION_LIMIT), obj, z, it
+            failed = len(calls) == 1 if root_fails else len(calls) > 1
+            return (_kernels.LP_ITERATION_LIMIT if failed else status), obj, z, it
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("cut table built without a root LP")
 
         monkeypatch.setattr(_kernels, "packing_simplex", flaky)
+        if root_fails:
+            monkeypatch.setattr(solver, "_cut_candidates", no_table)
         program = prog(
             9,
             (0, 1), (1, 2), (0, 2),
@@ -272,7 +280,10 @@ class TestSolveExact:
         )
         res = solve_exact(program)
         assert len(calls) > 1
-        assert calls[1] > calls[0]  # the cut round's LP, with its cut columns
+        if root_fails:
+            assert res.trace[0].lower_bound == 0.0
+        else:
+            assert calls[1] > calls[0]  # the cut round's LP, with its cut columns
         assert res.optimal
         assert res.objective == 6
         assert res.lower_bound == 6
@@ -493,6 +504,9 @@ class TestCutRounds:
         assert res.optimal and res.objective == 21
         assert len(res.trace) == 2  # the root row and the final row
         assert [e for e in events if e != "lp"] == [[809]]  # one table
+        # the root LP and three rounds: they stop once the bound certifies
+        # the greedy cover of 21, not the search's starting bound of p + 1
+        assert events.count("lp") == 4
 
     def test_stop_during_the_table_or_after_a_round(self, monkeypatch, tpl_bend_c4_programs):
         # cluster 3's table takes several chunks, then its rounds run until
@@ -740,10 +754,12 @@ class TestLpBnbPinned:
     # of the search.
     DIGEST = "3e48b883b60d8b9df937e2a4af693c89b1ce07d49a438411303151776658ccad"
 
-    def test_results_unchanged(self):
-        programs = pinned_lp_bnb_programs()
-        runs = [(program, SolverConfig()) for program in programs]
-        runs.append((programs[-1], SolverConfig(node_budget=2)))
+    # the same fields over capped 50% clusters 0 and 3 stopped by
+    # node_budget=10: a budget-stopped tree whose node LPs hold root cuts
+    TEMPLATE_DIGEST = "3d49be92d7e2854008203072a92a71aa0335dd5c4163d533582632aa9e472e42"
+
+    @staticmethod
+    def digest(runs):
         h = hashlib.sha256()
         for program, config in runs:
             res = _solve_lp_bnb(program, config)
@@ -751,7 +767,18 @@ class TestLpBnbPinned:
             h.update(f"|{res.objective}|{res.lower_bound!r}|{res.optimal}\n".encode())
             for e in res.trace:
                 h.update(f"{e.iteration},{e.upper_bound},{e.lower_bound!r},{e.open_nodes}\n".encode())
-        assert h.hexdigest() == self.DIGEST
+        return h.hexdigest()
+
+    def test_results_unchanged(self):
+        programs = pinned_lp_bnb_programs()
+        runs = [(program, SolverConfig()) for program in programs]
+        runs.append((programs[-1], SolverConfig(node_budget=2)))
+        assert self.digest(runs) == self.DIGEST
+
+    def test_template_tree_unchanged(self):
+        programs = template_programs(0.5, 100, 4, (0, 3))
+        runs = [(programs[c][0], SolverConfig(node_budget=10)) for c in (0, 3)]
+        assert self.digest(runs) == self.TEMPLATE_DIGEST
 
     def test_one_residual_per_evaluated_node(self, monkeypatch):
         # the root, then two children per expanded node: one residual each
